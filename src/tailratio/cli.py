@@ -7,6 +7,12 @@ experiments.  All numeric output is reproducible bit-for-bit from the flags:
 Monte Carlo subcommands require an explicit --seed (no silent entropy) and
 --threads never changes numbers, only scheduling.
 
+Each subcommand is declared once in _COMMANDS: its help, its options and a
+handler that turns the resolved options into a record (or a ready CSV
+table).  An option's value is the flag, else the key of the --config file,
+else the option's default; flag and file values alike are cast with the
+option's type.
+
 Exit codes: 0 success, 2 argument error, 3 capability error, 4 insufficient
 data, 5 accuracy failure, 6 degenerate frequency.
 """
@@ -14,6 +20,8 @@ data, 5 accuracy failure, 6 degenerate frequency.
 import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import lln, probability, records
 from .errors import (
@@ -33,29 +41,212 @@ EXIT_INSUFFICIENT = 4
 EXIT_ACCURACY = 5
 EXIT_DEGENERATE = 6
 
-
-def _add_output_flags(p):
-    p.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        default=None,
-        help="output format (default: json)",
-    )
-    p.add_argument("--output", default=None, help="output file (default: stdout)")
-    p.add_argument(
-        "--config",
-        default=None,
-        help="JSON file supplying the same keys as the flags; flags override it",
-    )
+_REQUIRED = object()
 
 
-def _add_dist_flag(p):
-    p.add_argument(
-        "--dist",
-        default=None,
-        help="family spec, name:key=value,... "
-        "(e.g. pareto:alpha=1.5,xm=1 or stable:alpha=0.6,scale=1)",
+def _int_list(text):
+    if isinstance(text, (list, tuple)):
+        return [int(v) for v in text]
+    return [int(v) for v in str(text).split(",") if v.strip()]
+
+
+class _Option(NamedTuple):
+    """A flag: its name, the cast of its value, its default and its help.
+
+    A default of _REQUIRED makes the flag mandatory; `choices` limits its values.
+    """
+
+    name: str
+    type: object
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+_KAPPA = _Option("kappa", float, 0.5, "ratio threshold in (0,1)")
+_INPUT = _Option("input", str, None, "input file, one number per line ('-' or omit for stdin)")
+_DIST = _Option("dist", str, _REQUIRED, "family spec, name:key=value,... "
+                "(e.g. pareto:alpha=1.5,xm=1 or stable:alpha=0.6,scale=1)")
+_N = _Option("n", int, _REQUIRED, "sample size, >= 2")
+_SEED = _Option("seed", int, _REQUIRED, "64-bit RNG seed; no silent entropy")
+_THREADS = _Option("threads", int, 1, "worker threads; never changes numeric output")
+_OUTPUT = (
+    _Option("format", str, "json", "output format", ("json", "csv")),
+    _Option("output", str, None, "output file (default: stdout)"),
+    _Option("config", str, None,
+            "JSON file supplying the same keys as the flags; flags override it"),
+)
+
+
+def _check_threads(opts):
+    if opts.threads < 1:
+        raise ParameterDomainError(f"threads must be >= 1, got {opts.threads}")
+
+
+def _detect(opts):
+    verdict = is_outlier(records.read_values(opts.input), opts.kappa)
+    return records.verdict_record(verdict)
+
+
+def _ksigma(opts):
+    idx = ksigma_outliers(records.read_values(opts.input), opts.k)
+    return {"k": opts.k, "count": len(idx), "indices": ";".join(str(i) for i in sorted(idx))}
+
+
+def _prob_limit(opts):
+    result = probability.ProbabilityResult(
+        value=probability.limit_probability(opts.kappa, opts.alpha),
+        method="limit",
+        error_estimate=0.0,
+        kappa=opts.kappa,
     )
+    return records.probability_record(result, None, {"alpha": opts.alpha})
+
+
+def _prob_exact(opts):
+    family = parse_family_spec(opts.dist)
+    result = probability.exact_probability(family, opts.n, opts.kappa)
+    return records.probability_record(result, family.name, family.params)
+
+
+def _prob_mc(opts):
+    family = parse_family_spec(opts.dist)
+    _check_threads(opts)
+    result = probability.mc_probability(
+        family, opts.n, opts.kappa, opts.trials, opts.seed, opts.confidence
+    )
+    return records.probability_record(result, family.name, family.params)
+
+
+def _prob_oracle(opts):
+    family = parse_family_spec(opts.dist)
+    result = probability.joint_oracle_probability(family, opts.n, opts.kappa)
+    return records.probability_record(result, family.name, family.params)
+
+
+def _check_conditions(opts):
+    family = parse_family_spec(opts.dist)
+    report = probability.check_theorem_conditions(
+        family,
+        opts.kappa,
+        opts.n,
+        probe_range=(opts.probe_lo, opts.probe_hi),
+        grid_points=opts.grid_points,
+    )
+    return records.condition_record(report, family, opts.kappa, opts.n)
+
+
+def _estimate_alpha(opts):
+    estimate = estimate_alpha_from_data(
+        records.read_values(opts.input), opts.block_size, opts.kappa, opts.confidence
+    )
+    return records.alpha_record(estimate)
+
+
+def _lln_demo(opts):
+    family = parse_family_spec(opts.dist)
+    _check_threads(opts)
+    if opts.mode == "trajectory":
+        reps = 1 if opts.replications is None else opts.replications
+        rows = []
+        for r in range(reps):
+            series = lln.running_mean_trajectory(
+                family, opts.total, opts.checkpoints, (opts.seed + r) % 2**64
+            )
+            rows.extend((n, r, m) for n, m in zip(series.checkpoints, series.running_means))
+        return records.rows_to_csv(["n", "replication", "running_mean"], rows)
+    reps = 200 if opts.replications is None else opts.replications
+    result = lln.scaling_exponent_experiment(family, opts.ns, reps, opts.seed)
+    alpha = family.tail_index
+    if alpha is None and family.name == "stable":
+        alpha = family.params["alpha"]
+    theory = lln.theory_slope(alpha) if alpha is not None else None
+    table = records.rows_to_csv(["n", "median_abs_mean"], zip(result.ns, result.per_n_medians))
+    return table + records.rows_to_csv(["slope", "theory_slope"], [(result.slope, theory)])
+
+
+# subcommand -> (help, options, handler); a handler returns a record or a CSV table
+_COMMANDS = {
+    "detect": (
+        "ratio-outlier verdict on newline-delimited input data",
+        (_KAPPA, _INPUT),
+        _detect,
+    ),
+    "ksigma": (
+        "classical k-sigma outlier indices (baseline rule)",
+        (_Option("k", float, 3.0, "number of standard deviations"), _INPUT),
+        _ksigma,
+    ),
+    "prob-limit": (
+        "large-n outlier probability kappa**alpha",
+        (_KAPPA._replace(help="ratio threshold in (0,1]"),
+         _Option("alpha", float, _REQUIRED, "tail index, positive")),
+        _prob_limit,
+    ),
+    "prob-exact": (
+        "finite-n outlier probability by quadrature",
+        (_DIST, _N, _KAPPA),
+        _prob_exact,
+    ),
+    "prob-mc": (
+        "Monte Carlo outlier probability with Wilson interval",
+        (_DIST, _N, _KAPPA,
+         _Option("trials", int, 100_000, "number of samples"),
+         _SEED,
+         _Option("confidence", float, 0.95, "Wilson interval level"),
+         _THREADS),
+        _prob_mc,
+    ),
+    "prob-oracle": (
+        "small-n probability from the joint top-two density",
+        (_DIST, _N._replace(help="sample size in 2..8"), _KAPPA),
+        _prob_oracle,
+    ),
+    "check-conditions": (
+        "numeric probe of the convergence conditions",
+        (_DIST, _KAPPA,
+         _Option("n", int, 1000, "sample size for the edge probe"),
+         _Option("probe_lo", float, None,
+                 "lower end of probe range (default: support edge + 0.01)"),
+         _Option("probe_hi", float, None,
+                 "upper end of probe range (default: support edge + 50)"),
+         _Option("grid_points", int, 401, "grid size for the integrand probe")),
+        _check_conditions,
+    ),
+    "estimate-alpha": (
+        "tail index from block outlier frequency",
+        (_Option("block_size", int, _REQUIRED, "observations per block, >= 2"),
+         _KAPPA,
+         _Option("confidence", float, 0.95, "CI level"),
+         _INPUT),
+        _estimate_alpha,
+    ),
+    "lln-demo": (
+        "running-mean trajectories / scaling-exponent experiment",
+        (_DIST,
+         _Option("mode", str, "scaling", "experiment", ("trajectory", "scaling")),
+         _Option("total", int, 100_000, "trajectory stream length"),
+         _Option("checkpoints", _int_list, "100,1000,10000,100000", "comma-separated checkpoints"),
+         _Option("replications", int, None,
+                 "replications (default: 1 in trajectory mode, 200 in scaling mode)"),
+         _Option("ns", _int_list, "1000,10000,100000", "comma-separated sample sizes for scaling"),
+         _SEED,
+         _THREADS),
+        _lln_demo,
+    ),
+}
+
+
+def _flag(option):
+    return "--" + option.name.replace("_", "-")
+
+
+def _help(option):
+    if option.default is _REQUIRED:
+        return f"{option.help} (required)"
+    if option.default is None:
+        return option.help
+    return f"{option.help} (default {option.default})"
 
 
 def build_parser():
@@ -65,265 +256,65 @@ def build_parser():
         "for heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "detect", help="ratio-outlier verdict on newline-delimited input data"
-    )
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1), default 0.5")
-    p.add_argument("--input", default=None, help="input file, one number per line ('-' or omit for stdin)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("ksigma", help="classical k-sigma outlier indices (baseline rule)")
-    p.add_argument("--k", type=float, default=None, help="number of standard deviations, default 3")
-    p.add_argument("--input", default=None, help="input file ('-' or omit for stdin)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("prob-limit", help="large-n outlier probability kappa**alpha")
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1], default 0.5")
-    p.add_argument("--alpha", type=float, default=None, help="tail index, positive (required)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("prob-exact", help="finite-n outlier probability by quadrature")
-    _add_dist_flag(p)
-    p.add_argument("--n", type=int, default=None, help="sample size, >= 2 (required)")
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1), default 0.5")
-    _add_output_flags(p)
-
-    p = sub.add_parser("prob-mc", help="Monte Carlo outlier probability with Wilson interval")
-    _add_dist_flag(p)
-    p.add_argument("--n", type=int, default=None, help="sample size, >= 2 (required)")
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1), default 0.5")
-    p.add_argument("--trials", type=int, default=None, help="number of samples, default 100000")
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed (required; no silent entropy)")
-    p.add_argument("--confidence", type=float, default=None, help="Wilson interval level, default 0.95")
-    p.add_argument("--threads", type=int, default=None, help="worker threads; never changes numeric output (default 1)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("prob-oracle", help="small-n probability from the joint top-two density")
-    _add_dist_flag(p)
-    p.add_argument("--n", type=int, default=None, help="sample size in 2..8 (required)")
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1), default 0.5")
-    _add_output_flags(p)
-
-    p = sub.add_parser("check-conditions", help="numeric probe of the convergence conditions")
-    _add_dist_flag(p)
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1), default 0.5")
-    p.add_argument("--n", type=int, default=None, help="sample size for the edge probe, default 1000")
-    p.add_argument("--probe-lo", type=float, default=None, help="lower end of probe range (default: near support edge)")
-    p.add_argument("--probe-hi", type=float, default=None, help="upper end of probe range, default 50")
-    p.add_argument("--grid-points", type=int, default=None, help="grid size for the integrand probe, default 401")
-    _add_output_flags(p)
-
-    p = sub.add_parser("estimate-alpha", help="tail index from block outlier frequency")
-    p.add_argument("--block-size", type=int, default=None, help="observations per block, >= 2 (required)")
-    p.add_argument("--kappa", type=float, default=None, help="ratio threshold in (0,1), default 0.5")
-    p.add_argument("--confidence", type=float, default=None, help="CI level, default 0.95")
-    p.add_argument("--input", default=None, help="input file ('-' or omit for stdin)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("lln-demo", help="running-mean trajectories / scaling-exponent experiment")
-    _add_dist_flag(p)
-    p.add_argument("--mode", choices=["trajectory", "scaling"], default=None, help="default: scaling")
-    p.add_argument("--total", type=int, default=None, help="trajectory stream length, default 100000")
-    p.add_argument("--checkpoints", default=None, help="comma-separated checkpoints, default 100,1000,10000,100000")
-    p.add_argument("--replications", type=int, default=None, help="trajectory/scaling replications, default 200")
-    p.add_argument("--ns", default=None, help="comma-separated sample sizes for scaling, default 1000,10000,100000")
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed (required)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads; never changes numeric output (default 1)")
-    _add_output_flags(p)
-
+    for name, (text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option in options + _OUTPUT:
+            p.add_argument(
+                _flag(option),
+                default=None,
+                choices=option.choices,
+                help=_help(option),
+            )
     return parser
 
 
-class _Config:
-    """Flag values merged over an optional JSON config file."""
-
-    def __init__(self, args):
-        self.args = vars(args)
-        self.file = {}
-        path = self.args.get("config")
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ParameterDomainError("config file must hold a JSON object")
-            self.file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-
-    def get(self, key, default=None, required=False, cast=None):
-        value = self.args.get(key)
+def _resolve(args, options):
+    """Each option's value: the flag, else the --config file, else its default."""
+    file = {}
+    if args.get("config"):
+        with open(args["config"], encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ParameterDomainError("config file must hold a JSON object")
+        file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+    opts = SimpleNamespace()
+    for option in options:
+        value = args.get(option.name)
         if value is None:
-            value = self.file.get(key)
+            value = file.get(option.name)
         if value is None:
-            value = default
-        if value is None and required:
-            raise ParameterDomainError(f"missing required option --{key.replace('_', '-')}")
-        if value is not None and cast is not None:
-            value = cast(value)
-        return value
+            value = option.default
+        if value is _REQUIRED:
+            raise ParameterDomainError(f"missing required option {_flag(option)}")
+        if value is not None:
+            try:
+                value = option.type(value)
+            except (TypeError, ValueError) as exc:
+                raise ParameterDomainError(f"{_flag(option)}: {exc}") from None
+        setattr(opts, option.name, value)
+    return opts
 
 
-def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v.strip()]
-
-
-def _family(cfg):
-    spec = cfg.get("dist", required=True, cast=str)
-    return parse_family_spec(spec)
-
-
-def _check_threads(cfg):
-    threads = cfg.get("threads", default=1, cast=int)
-    if threads < 1:
-        raise ParameterDomainError(f"threads must be >= 1, got {threads}")
-    return threads
-
-
-def _run_subcommand(args):
-    cfg = _Config(args)
-    sc = args.subcommand
-
-    if sc == "detect":
-        data = records.read_values(cfg.get("input"))
-        verdict = is_outlier(data, cfg.get("kappa", default=0.5, cast=float))
-        return records.verdict_record(verdict)
-
-    if sc == "ksigma":
-        data = records.read_values(cfg.get("input"))
-        idx = ksigma_outliers(data, cfg.get("k", default=3.0, cast=float))
-        return {
-            "k": cfg.get("k", default=3.0, cast=float),
-            "count": len(idx),
-            "indices": ";".join(str(i) for i in sorted(idx)),
-        }
-
-    if sc == "prob-limit":
-        kappa = cfg.get("kappa", default=0.5, cast=float)
-        alpha = cfg.get("alpha", required=True, cast=float)
-        return records.limit_record(
-            probability.limit_probability(kappa, alpha), kappa, alpha
-        )
-
-    if sc == "prob-exact":
-        family = _family(cfg)
-        result = probability.exact_probability(
-            family,
-            cfg.get("n", required=True, cast=int),
-            cfg.get("kappa", default=0.5, cast=float),
-        )
-        return records.probability_record(result, family)
-
-    if sc == "prob-mc":
-        family = _family(cfg)
-        _check_threads(cfg)
-        result = probability.mc_probability(
-            family,
-            cfg.get("n", required=True, cast=int),
-            cfg.get("kappa", default=0.5, cast=float),
-            cfg.get("trials", default=100_000, cast=int),
-            cfg.get("seed", required=True, cast=int),
-            cfg.get("confidence", default=0.95, cast=float),
-        )
-        return records.probability_record(result, family)
-
-    if sc == "prob-oracle":
-        family = _family(cfg)
-        result = probability.joint_oracle_probability(
-            family,
-            cfg.get("n", required=True, cast=int),
-            cfg.get("kappa", default=0.5, cast=float),
-        )
-        return records.probability_record(result, family)
-
-    if sc == "check-conditions":
-        family = _family(cfg)
-        kappa = cfg.get("kappa", default=0.5, cast=float)
-        n = cfg.get("n", default=1000, cast=int)
-        probe_lo = cfg.get("probe_lo", cast=float)
-        probe_hi = cfg.get("probe_hi", default=50.0, cast=float)
-        probe = None if probe_lo is None else (probe_lo, probe_hi)
-        if probe is None and probe_hi is not None:
-            probe = (family.support_lo + 0.01, probe_hi)
-        report = probability.check_theorem_conditions(
-            family,
-            kappa,
-            n,
-            probe_range=probe,
-            grid_points=cfg.get("grid_points", default=401, cast=int),
-        )
-        return records.condition_record(report, family, kappa, n)
-
-    if sc == "estimate-alpha":
-        data = records.read_values(cfg.get("input"))
-        estimate = estimate_alpha_from_data(
-            data,
-            cfg.get("block_size", required=True, cast=int),
-            cfg.get("kappa", default=0.5, cast=float),
-            cfg.get("confidence", default=0.95, cast=float),
-        )
-        return records.alpha_record(estimate)
-
-    if sc == "lln-demo":
-        family = _family(cfg)
-        _check_threads(cfg)
-        seed = cfg.get("seed", required=True, cast=int)
-        mode = cfg.get("mode", default="scaling", cast=str)
-        if mode == "trajectory":
-            total = cfg.get("total", default=100_000, cast=int)
-            cps = _int_list(
-                cfg.get("checkpoints", default="100,1000,10000,100000")
-            )
-            reps = cfg.get("replications", default=1, cast=int)
-            rows = []
-            for r in range(reps):
-                series = lln.running_mean_trajectory(family, total, cps, (seed + r) % 2**64)
-                rows.extend(
-                    (n, r, m)
-                    for n, m in zip(series.checkpoints, series.running_means)
-                )
-            return ("csv-table", records.rows_to_csv(["n", "replication", "running_mean"], rows))
-        result = lln.scaling_exponent_experiment(
-            family,
-            _int_list(cfg.get("ns", default="1000,10000,100000")),
-            cfg.get("replications", default=200, cast=int),
-            seed,
-        )
-        alpha = family.tail_index
-        if alpha is None and family.name == "stable":
-            alpha = family.params["alpha"]
-        theory = lln.theory_slope(alpha) if alpha is not None else None
-        rows = [(n, m) for n, m in zip(result.ns, result.per_n_medians)]
-        table = records.rows_to_csv(["n", "median_abs_mean"], rows)
-        table += records.rows_to_csv(["slope", "theory_slope"], [(result.slope, theory)])
-        return ("csv-table", table)
-
-    raise ParameterDomainError(f"unknown subcommand {sc!r}")
-
-
-def _emit(payload, cfg_args):
-    cfg = _Config(cfg_args)
-    fmt = cfg.get("format", default="json", cast=str)
-    if isinstance(payload, tuple) and payload[0] == "csv-table":
-        text = payload[1]
-    elif fmt == "csv":
+def _emit(payload, opts):
+    if isinstance(payload, str):
+        text = payload
+    elif opts.format == "csv":
         text = records.to_csv(payload)
     else:
         text = records.to_json(payload)
-    out_path = cfg.get("output")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if opts.output:
+        with open(opts.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, options, handler = _COMMANDS[args.subcommand]
     try:
-        payload = _run_subcommand(args)
-        _emit(payload, args)
+        opts = _resolve(vars(args), options + _OUTPUT)
+        _emit(handler(opts), opts)
     except DegenerateFrequencyError as exc:
         print(
             f"error: {exc} "

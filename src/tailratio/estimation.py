@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateFrequencyError, ParameterDomainError
 from .intervals import wilson_interval
-from .outliers import block_event_frequency
+from .outliers import block_event_frequency, check_kappa
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ def estimate_alpha_from_frequency(p_hat, kappa, blocks, confidence=0.95, block_s
     ln(0) is not a number a report should carry, but the Wilson interval
     still yields a one-sided bound on alpha, which the error carries.
     """
-    kappa = float(kappa)
-    if not 0.0 < kappa < 1.0:
-        raise ParameterDomainError(f"kappa must lie in (0, 1), got {kappa}")
+    kappa = check_kappa(kappa)
     blocks = int(blocks)
     if blocks < 1:
         raise ParameterDomainError(f"blocks must be >= 1, got {blocks}")

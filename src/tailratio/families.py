@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CapabilityError, ParameterDomainError
+from .records import _fmt
 from .rng import stream
 
 
@@ -101,7 +102,7 @@ class TailFamily:
 
     def spec_string(self):
         """Round-trippable ``name:key=value,...`` form."""
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
+        inner = ",".join(f"{k}={_fmt(v)}" for k, v in self.params.items())
         return f"{self.name}:{inner}"
 
 

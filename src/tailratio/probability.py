@@ -34,6 +34,7 @@ from .errors import (
     SingularityError,
 )
 from .intervals import wilson_interval
+from .outliers import _event, _top_two, check_kappa
 from .rng import check_seed, substream
 
 # clipping u at the last float below 1 keeps quantile() finite; the
@@ -65,15 +66,6 @@ class ConditionReport:
     notes: str
 
 
-def _check_kappa(kappa, allow_one=False):
-    kappa = float(kappa)
-    hi_ok = kappa <= 1.0 if allow_one else kappa < 1.0
-    if not (0.0 < kappa and hi_ok):
-        bound = "(0, 1]" if allow_one else "(0, 1)"
-        raise ParameterDomainError(f"kappa must lie in {bound}, got {kappa}")
-    return kappa
-
-
 def _check_n(n):
     n = int(n)
     if n < 2:
@@ -83,7 +75,7 @@ def _check_n(n):
 
 def limit_probability(kappa, alpha):
     """Large-n limit of the outlier-event probability: kappa**alpha."""
-    kappa = _check_kappa(kappa, allow_one=True)
+    kappa = check_kappa(kappa, allow_one=True)
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ParameterDomainError(f"alpha must be positive, got {alpha}")
@@ -117,7 +109,7 @@ def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000
     quadrature error bound exceeds the requested tolerance.
     """
     n = _check_n(n)
-    kappa = _check_kappa(kappa)
+    kappa = check_kappa(kappa)
     if not family.has_pdf:
         raise CapabilityError(f"family {family.name!r} has no density")
 
@@ -179,7 +171,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     scheduled; the reduction is an exact event count.
     """
     n = _check_n(n)
-    kappa = _check_kappa(kappa)
+    kappa = check_kappa(kappa)
     trials = int(trials)
     if trials < 1:
         raise ParameterDomainError(f"trials must be >= 1, got {trials}")
@@ -190,8 +182,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     hits = 0
     for i in range(trials):
         mags = np.abs(family.sample_with(substream(seed, i), n))
-        part = np.partition(mags, n - 2)
-        if part[n - 2] <= kappa * part[n - 1]:
+        if _event(*_top_two(mags), kappa):
             hits += 1
     p_hat = hits / trials
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
@@ -220,7 +211,7 @@ def joint_oracle_probability(family, n, kappa, *, epsabs=1e-9, epsrel=1e-9):
     n = int(n)
     if not 2 <= n <= 8:
         raise ParameterDomainError(f"joint oracle supports n in 2..8, got {n}")
-    kappa = _check_kappa(kappa)
+    kappa = check_kappa(kappa)
     if not (family.has_pdf and family.has_cdf):
         raise CapabilityError(
             f"family {family.name!r} needs cdf and density for the joint oracle"
@@ -268,7 +259,7 @@ def boundary_ratio(family, kappa, x):
     For densities regularly varying with index -(alpha+1) this tends to
     kappa**alpha as x grows; for light tails it tends to 0.
     """
-    kappa = _check_kappa(kappa)
+    kappa = check_kappa(kappa)
     x = float(x)
     if not family.has_pdf:
         raise CapabilityError(f"family {family.name!r} has no density")
@@ -293,10 +284,13 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     x and kappa*x) and trapezoid-integrates |g|;
     (c) reports the boundary ratio at the upper end of the probe range.
 
+    `probe_range` is (lo, hi); None, or None at either end, takes that end
+    from the default (support_lo + 0.01, support_lo + 50).
+
     Purely diagnostic: finite sampling cannot establish integrability over
     (0, inf), so the report is evidence, never a verdict.
     """
-    kappa = _check_kappa(kappa)
+    kappa = check_kappa(kappa)
     n = _check_n(n)
     for cap, what in (
         (family.has_cdf, "cdf"),
@@ -307,12 +301,12 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
             raise CapabilityError(f"family {family.name!r} has no {what}")
 
     edge = family.support_lo
-    if probe_range is None:
-        probe_range = (edge + 0.01, 50.0 + edge)
-    lo, hi = float(probe_range[0]), float(probe_range[1])
+    lo, hi = (None, None) if probe_range is None else probe_range
+    lo = edge + 0.01 if lo is None else float(lo)
+    hi = edge + 50.0 if hi is None else float(hi)
     if not edge <= lo < hi:
         raise ParameterDomainError(
-            f"probe_range must satisfy support_lo <= lo < hi, got {probe_range}"
+            f"probe_range must satisfy support_lo <= lo < hi, got {(lo, hi)}"
         )
     grid_points = int(grid_points)
     if grid_points < 2:

@@ -22,16 +22,20 @@ def _fmt(value):
 
 
 def _params_string(params):
-    return ";".join(f"{k}={format(float(v), '.17g')}" for k, v in params.items())
+    return ";".join(f"{k}={_fmt(float(v))}" for k, v in params.items())
 
 
-def probability_record(result, family):
-    """Record for any ProbabilityResult, keyed by method."""
+def probability_record(result, family_name, params):
+    """Record for any ProbabilityResult, keyed by method.
+
+    `params` are the parameters behind the value: the family's, or the tail
+    index of the limit.
+    """
     ci = result.ci or (None, None)
     return {
         "method": result.method,
-        "family": family.name if family is not None else None,
-        "params": _params_string(family.params) if family is not None else None,
+        "family": family_name,
+        "params": _params_string(params),
         "n": result.n,
         "kappa": result.kappa,
         "value": result.value,
@@ -40,22 +44,6 @@ def probability_record(result, family):
         "ci_hi": ci[1],
         "trials": result.trials,
         "seed": result.seed,
-    }
-
-
-def limit_record(value, kappa, alpha):
-    return {
-        "method": "limit",
-        "family": None,
-        "params": f"alpha={format(float(alpha), '.17g')}",
-        "n": None,
-        "kappa": float(kappa),
-        "value": float(value),
-        "error_estimate": 0.0,
-        "ci_lo": None,
-        "ci_hi": None,
-        "trials": None,
-        "seed": None,
     }
 
 

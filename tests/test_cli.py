@@ -1,7 +1,9 @@
 """CLI subcommands: records, formats, exit codes, reproducibility."""
 
+import builtins
 import json
 
+import numpy as np
 import pytest
 
 from tailratio.cli import main
@@ -42,6 +44,12 @@ class TestDetect:
     def test_insufficient_data_exit_code(self, capsys, monkeypatch):
         code, _, err = run_cli(["detect"], capsys, stdin="1\n", monkeypatch=monkeypatch)
         assert code == 4 and "at least 2" in err
+
+    def test_non_finite_value_exit_code(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            ["detect"], capsys, stdin="1\nnan\n10\n", monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == "" and "index 1 is not finite" in err
 
     def test_bad_kappa_exit_code(self, capsys, monkeypatch):
         code, _, err = run_cli(
@@ -164,6 +172,22 @@ class TestFormatsAndConfig:
         _, out, _ = run_cli(["prob-limit", "--config", str(cfg)], capsys)
         assert json.loads(out)["value"] == pytest.approx(0.5**1.5)
 
+    def test_config_file_read_once(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, "format": "csv"}))
+        reads = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(cfg):
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_cli(["prob-limit", "--config", str(cfg)], capsys)
+        assert code == 0 and out.startswith("method,")
+        assert len(reads) == 1
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"alpha": 1.5}))
@@ -231,3 +255,131 @@ class TestLLNDemo:
             ["lln-demo", "--dist", "stable:alpha=0.6,scale=1"], capsys
         )
         assert code == 2
+
+
+class TestCheckConditions:
+    def test_default_range_is_the_library_default(self, capsys):
+        # (support_lo + 0.01, support_lo + 50): x = 51 for Pareto with xm = 1
+        code, out, _ = run_cli(["check-conditions", "--dist", PARETO], capsys)
+        assert code == 0
+        assert "over [2, 51]" in json.loads(out)["notes"]
+
+    def test_flag_replaces_only_its_own_end(self, capsys):
+        _, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--probe-lo", "3"], capsys)
+        assert "over [3, 51]" in json.loads(out)["notes"]
+        _, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--probe-hi", "20"], capsys)
+        assert "over [2, 20]" in json.loads(out)["notes"]
+
+
+# Deterministic subcommands, byte for byte.  Monte Carlo digits are not
+# pinned: the Monte Carlo stream layout may change on purpose.
+GOLDEN = {
+    ("detect", "json"): (
+        '{"is_outlier": true, "kappa": 0.5, "ratio": 0.2, "max_magnitude": '
+        '10.0, "second_magnitude": 2.0, "max_index": 2, "second_index": 1}\n'
+    ),
+    ("detect", "csv"): (
+        'is_outlier,kappa,ratio,max_magnitude,second_magnitude,max_index,'
+        'second_index\n'
+        'true,0.5,0.20000000000000001,10,2,2,1\n'
+    ),
+    ("ksigma", "json"): (
+        '{"k": 1.0, "count": 1, "indices": "3"}\n'
+    ),
+    ("ksigma", "csv"): (
+        'k,count,indices\n'
+        '1,1,3\n'
+    ),
+    ("estimate-alpha", "json"): (
+        '{"alpha_hat": 1.4474589769712212, "p_hat": 0.36666666666666664, '
+        '"kappa": 0.5, "block_size": 20, "blocks": 30, "ci_lo": '
+        '0.8760309595469211, "ci_hi": 2.1927162544495324, "confidence": 0.95}\n'
+    ),
+    ("estimate-alpha", "csv"): (
+        'alpha_hat,p_hat,kappa,block_size,blocks,ci_lo,ci_hi,confidence\n'
+        '1.4474589769712212,0.36666666666666664,0.5,20,30,0.87603095954692112,'
+        '2.1927162544495324,0.94999999999999996\n'
+    ),
+    ("prob-limit", "json"): (
+        '{"method": "limit", "family": null, "params": "alpha=1.5", "n": null, '
+        '"kappa": 0.5, "value": 0.3535533905932738, "error_estimate": 0.0, '
+        '"ci_lo": null, "ci_hi": null, "trials": null, "seed": null}\n'
+    ),
+    ("prob-limit", "csv"): (
+        'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
+        'seed\n'
+        'limit,,alpha=1.5,,0.5,0.35355339059327379,0,,,,\n'
+    ),
+    ("prob-exact", "json"): (
+        '{"method": "quadrature", "family": "half_cauchy", "params": "scale=1",'
+        ' "n": 100, "kappa": 0.5, "value": 0.5001798374824743, '
+        '"error_estimate": 3.970127671060197e-09, "ci_lo": null, "ci_hi": null,'
+        ' "trials": null, "seed": null}\n'
+    ),
+    ("prob-exact", "csv"): (
+        'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
+        'seed\n'
+        'quadrature,half_cauchy,scale=1,100,0.5,0.5001798374824743,'
+        '3.9701276710601974e-09,,,,\n'
+    ),
+    ("prob-oracle", "json"): (
+        '{"method": "joint_oracle", "family": "half_cauchy", "params": '
+        '"scale=1", "n": 4, "kappa": 0.5, "value": 0.5774902981001574, '
+        '"error_estimate": 1.2000653985456487e-10, "ci_lo": null, "ci_hi": '
+        'null, "trials": null, "seed": null}\n'
+    ),
+    ("prob-oracle", "csv"): (
+        'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
+        'seed\n'
+        'joint_oracle,half_cauchy,scale=1,4,0.5,0.5774902981001574,'
+        '1.2000653985456487e-10,,,,\n'
+    ),
+    ("check-conditions", "json"): (
+        '{"family": "half_cauchy", "params": "scale=1", "n": 1000, "kappa": '
+        '0.5, "boundary_ratio_limit": 0.5009369144284822, "zero_limit_ok": '
+        'true, "integrand_integral": 1.1987528980177706, "notes": "edge probe '
+        'at x -> 0: first 0.000e+00, last 0.000e+00; integral of |g| over [0.5,'
+        ' 40] = 1.199e+00; boundary ratio at x = 40: 5.009369e-01"}\n'
+    ),
+    ("check-conditions", "csv"): (
+        'family,params,n,kappa,boundary_ratio_limit,zero_limit_ok,'
+        'integrand_integral,notes\n'
+        'half_cauchy,scale=1,1000,0.5,0.50093691442848221,true,'
+        '1.1987528980177706,edge probe at x -> 0: first 0.000e+00; last '
+        '0.000e+00; integral of |g| over [0.5; 40] = 1.199e+00; boundary ratio '
+        'at x = 40: 5.009369e-01\n'
+    ),
+}
+
+
+def _sample_file(tmp_path):
+    rng = np.random.default_rng(20161229)
+    values = (1.0 - rng.random(600)) ** (-1.0 / 1.5)
+    path = tmp_path / "sample.txt"
+    path.write_text("".join(format(v, ".17g") + "\n" for v in values.tolist()))
+    return str(path)
+
+
+GOLDEN_ARGV = {
+    "detect": ["detect", "--kappa", "0.5"],
+    "ksigma": ["ksigma", "--k", "1"],
+    "estimate-alpha": ["estimate-alpha", "--block-size", "20", "--kappa", "0.5"],
+    "prob-limit": ["prob-limit", "--kappa", "0.5", "--alpha", "1.5"],
+    "prob-exact": ["prob-exact", "--dist", "half_cauchy:scale=1", "--n", "100",
+                   "--kappa", "0.5"],
+    "prob-oracle": ["prob-oracle", "--dist", "half_cauchy:scale=1", "--n", "4"],
+    "check-conditions": ["check-conditions", "--dist", "half_cauchy:scale=1",
+                         "--probe-lo", "0.5", "--probe-hi", "40"],
+}
+GOLDEN_STDIN = {"detect": "1\n-2\n10\n", "ksigma": "0\n0\n0\n10\n-1\n"}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN), ids="-".join)
+def test_golden_output(command, fmt, capsys, monkeypatch, tmp_path):
+    argv = GOLDEN_ARGV[command] + ["--format", fmt]
+    if command == "estimate-alpha":
+        argv += ["--input", _sample_file(tmp_path)]
+    code, out, _ = run_cli(
+        argv, capsys, stdin=GOLDEN_STDIN.get(command, ""), monkeypatch=monkeypatch
+    )
+    assert code == 0 and out == GOLDEN[command, fmt]

@@ -219,6 +219,21 @@ class TestSpecStrings:
         assert fam.name == "pareto"
         assert fam.params == {"alpha": 1.5, "xm": 1.0}
 
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            tr.make_pareto(1.2345678, 1 / 3),
+            tr.make_half_cauchy(0.1),
+            tr.make_exponential(2.0 / 7.0),
+            tr.make_half_normal(1e-7 / 3),
+            tr.make_symmetric_stable(0.6000000000000001, 123456.789012345),
+        ],
+        ids=lambda f: f.name,
+    )
+    def test_spec_string_roundtrip(self, fam):
+        back = tr.parse_family_spec(fam.spec_string())
+        assert back.name == fam.name and back.params == fam.params
+
     def test_case_insensitive(self):
         fam = tr.parse_family_spec("Half-Cauchy:SCALE=2")
         assert fam.name == "half_cauchy"

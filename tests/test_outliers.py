@@ -11,6 +11,15 @@ from tailratio.errors import InsufficientDataError, ParameterDomainError
 finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
+# blocks rich in ties and zeros, and blocks of one repeated value
+blocks = st.one_of(
+    st.lists(
+        st.one_of(finite_floats, st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])),
+        min_size=2,
+        max_size=40,
+    ),
+    st.builds(lambda v, n: [v] * n, finite_floats, st.integers(2, 40)),
+)
 
 
 class TestTopTwo:
@@ -35,12 +44,17 @@ class TestTopTwo:
 
     def test_matches_sorted_magnitudes(self):
         rng = np.random.default_rng(515)
-        for _ in range(1000):
+        for i in range(1000):
             data = rng.standard_cauchy(rng.integers(2, 500))
+            if i % 2:
+                data = np.round(data)  # many ties, zeros included
             top = tr.top_two_magnitudes(data)
             ordered = np.sort(np.abs(data))
             assert top.max_magnitude == ordered[-1]
             assert top.second_magnitude == ordered[-2]
+            # a stable descending sort puts the earlier of tied indices first
+            rank = np.argsort(-np.abs(data), kind="stable")
+            assert (top.max_index, top.second_index) == (rank[0], rank[1])
 
 
 class TestIsOutlier:
@@ -148,3 +162,34 @@ class TestBlockFrequency:
         p = 0.5**1.5
         band = 3.0 * np.sqrt(p * (1.0 - p) / blocks)
         assert abs(p_hat - p) < band
+
+
+class TestOneEvent:
+    @given(
+        block=blocks,
+        kappa=st.one_of(
+            st.sampled_from([0.5, 0.25]), st.floats(min_value=0.01, max_value=0.99)
+        ),
+    )
+    @settings(max_examples=300)
+    def test_scalar_and_block_tests_agree(self, block, kappa):
+        freq, count = tr.block_event_frequency(block, len(block), kappa)
+        assert count == 1
+        assert tr.is_outlier(block, kappa).is_outlier == (freq == 1.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            tr.top_two_magnitudes,
+            lambda d: tr.is_outlier(d, 0.5),
+            lambda d: tr.ksigma_outliers(d, 3.0),
+            lambda d: tr.block_event_frequency(d, 2, 0.5),
+        ],
+        ids=["top_two", "is_outlier", "ksigma", "block_frequency"],
+    )
+    def test_rejected_with_index(self, call, bad):
+        with pytest.raises(ParameterDomainError, match="index 2"):
+            call([1.0, 2.0, bad, 10.0])
