@@ -11,7 +11,7 @@ Each subcommand is declared once in _COMMANDS: its help, its options and a
 handler that turns the resolved options into a record (or a ready CSV
 table).  An option's value is the flag, else the key of the --config file,
 else the option's default; flag and file values alike are cast with the
-option's type.
+option's type and checked against its choices.
 
 Exit codes: 0 success, 2 argument error, 3 capability error, 4 insufficient
 data, 5 accuracy failure, 6 degenerate frequency.
@@ -44,10 +44,17 @@ EXIT_DEGENERATE = 6
 _REQUIRED = object()
 
 
+def _int(value):
+    """int(value), refusing booleans and floats with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _int_list(text):
     if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v.strip()]
+        return [_int(v) for v in text]
+    return [_int(v) for v in str(text).split(",") if v.strip()]
 
 
 class _Option(NamedTuple):
@@ -67,9 +74,9 @@ _KAPPA = _Option("kappa", float, 0.5, "ratio threshold in (0,1)")
 _INPUT = _Option("input", str, None, "input file, one number per line ('-' or omit for stdin)")
 _DIST = _Option("dist", str, _REQUIRED, "family spec, name:key=value,... "
                 "(e.g. pareto:alpha=1.5,xm=1 or stable:alpha=0.6,scale=1)")
-_N = _Option("n", int, _REQUIRED, "sample size, >= 2")
-_SEED = _Option("seed", int, _REQUIRED, "64-bit RNG seed; no silent entropy")
-_THREADS = _Option("threads", int, 1, "worker threads; never changes numeric output")
+_N = _Option("n", _int, _REQUIRED, "sample size, >= 2")
+_SEED = _Option("seed", _int, _REQUIRED, "64-bit RNG seed; no silent entropy")
+_THREADS = _Option("threads", _int, 1, "worker threads; never changes numeric output")
 _OUTPUT = (
     _Option("format", str, "json", "output format", ("json", "csv")),
     _Option("output", str, None, "output file (default: stdout)"),
@@ -191,7 +198,7 @@ _COMMANDS = {
     "prob-mc": (
         "Monte Carlo outlier probability with Wilson interval",
         (_DIST, _N, _KAPPA,
-         _Option("trials", int, 100_000, "number of samples"),
+         _Option("trials", _int, 100_000, "number of samples"),
          _SEED,
          _Option("confidence", float, 0.95, "Wilson interval level"),
          _THREADS),
@@ -205,17 +212,17 @@ _COMMANDS = {
     "check-conditions": (
         "numeric probe of the convergence conditions",
         (_DIST, _KAPPA,
-         _Option("n", int, 1000, "sample size for the edge probe"),
+         _Option("n", _int, 1000, "sample size for the edge probe"),
          _Option("probe_lo", float, None,
                  "lower end of probe range (default: support edge + 0.01)"),
          _Option("probe_hi", float, None,
                  "upper end of probe range (default: support edge + 50)"),
-         _Option("grid_points", int, 401, "grid size for the integrand probe")),
+         _Option("grid_points", _int, 401, "grid size for the integrand probe")),
         _check_conditions,
     ),
     "estimate-alpha": (
         "tail index from block outlier frequency",
-        (_Option("block_size", int, _REQUIRED, "observations per block, >= 2"),
+        (_Option("block_size", _int, _REQUIRED, "observations per block, >= 2"),
          _KAPPA,
          _Option("confidence", float, 0.95, "CI level"),
          _INPUT),
@@ -225,9 +232,9 @@ _COMMANDS = {
         "running-mean trajectories / scaling-exponent experiment",
         (_DIST,
          _Option("mode", str, "scaling", "experiment", ("trajectory", "scaling")),
-         _Option("total", int, 100_000, "trajectory stream length"),
+         _Option("total", _int, 100_000, "trajectory stream length"),
          _Option("checkpoints", _int_list, "100,1000,10000,100000", "comma-separated checkpoints"),
-         _Option("replications", int, None,
+         _Option("replications", _int, None,
                  "replications (default: 1 in trajectory mode, 200 in scaling mode)"),
          _Option("ns", _int_list, "1000,10000,100000", "comma-separated sample sizes for scaling"),
          _SEED,
@@ -242,11 +249,14 @@ def _flag(option):
 
 
 def _help(option):
+    text = option.help
+    if option.choices:
+        text += f", one of {', '.join(option.choices)}"
     if option.default is _REQUIRED:
-        return f"{option.help} (required)"
+        return f"{text} (required)"
     if option.default is None:
-        return option.help
-    return f"{option.help} (default {option.default})"
+        return text
+    return f"{text} (default {option.default})"
 
 
 def build_parser():
@@ -259,12 +269,7 @@ def build_parser():
     for name, (text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for option in options + _OUTPUT:
-            p.add_argument(
-                _flag(option),
-                default=None,
-                choices=option.choices,
-                help=_help(option),
-            )
+            p.add_argument(_flag(option), default=None, help=_help(option))
     return parser
 
 
@@ -291,6 +296,10 @@ def _resolve(args, options):
                 value = option.type(value)
             except (TypeError, ValueError) as exc:
                 raise ParameterDomainError(f"{_flag(option)}: {exc}") from None
+            if option.choices and value not in option.choices:
+                raise ParameterDomainError(
+                    f"{_flag(option)}: {value!r} is not one of {', '.join(option.choices)}"
+                )
         setattr(opts, option.name, value)
     return opts
 

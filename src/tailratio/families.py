@@ -1,8 +1,9 @@
 """Catalog of analytically specified distribution families.
 
 Each family describes the law of a magnitude ``|X|`` on ``[0, inf)`` through
-whatever closed forms it admits (density, CDF, log-CDF, density derivative,
-quantile) plus a reproducible sampler for the signed variable ``X``.
+whatever closed forms it admits (density, CDF, density derivative, quantile)
+plus a reproducible sampler.  A family with a quantile samples ``|X|`` by
+inverse transform unless it supplies its own sampler for the signed ``X``.
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
@@ -17,7 +18,7 @@ from scipy import special
 
 from .errors import CapabilityError, ParameterDomainError
 from .records import _fmt
-from .rng import stream
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,7 @@ class TailFamily:
 
     Callable fields may be ``None``; the corresponding ``has_*`` capability
     flag is then unset and the accessor raises :class:`CapabilityError`.
+    Without a ``_sampler``, sampling is ``quantile`` of uniforms.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
     Pareto, 0 otherwise).
     """
@@ -36,7 +38,6 @@ class TailFamily:
     support_lo: float = 0.0
     _pdf: callable = None
     _cdf: callable = None
-    _log_cdf: callable = None
     _pdf_derivative: callable = None
     _quantile: callable = None
     _sampler: callable = None
@@ -59,7 +60,7 @@ class TailFamily:
 
     @property
     def has_sampler(self):
-        return self._sampler is not None
+        return self._sampler is not None or self._quantile is not None
 
     def _require(self, attr, what):
         fn = getattr(self, attr)
@@ -75,10 +76,6 @@ class TailFamily:
         """Distribution function F(x) of the magnitude law."""
         return self._require("_cdf", "cdf")(np.asarray(x, dtype=float))
 
-    def log_cdf(self, x):
-        """ln F(x), evaluated directly so F**(n-1) stays usable for huge n."""
-        return self._require("_log_cdf", "log-cdf")(np.asarray(x, dtype=float))
-
     def pdf_derivative(self, x):
         """p'(x)."""
         return self._require("_pdf_derivative", "density derivative")(
@@ -93,12 +90,13 @@ class TailFamily:
         """Draw `count` i.i.d. signed values, deterministic in `seed`."""
         if count < 1:
             raise ParameterDomainError(f"count must be >= 1, got {count}")
-        sampler = self._require("_sampler", "sampler")
-        return sampler(stream(seed), int(count))
+        return self.sample_with(substream(seed), count)
 
     def sample_with(self, rng, count):
         """Draw `count` values from an already-constructed generator."""
-        return self._require("_sampler", "sampler")(rng, int(count))
+        if self._sampler is not None:
+            return self._sampler(rng, int(count))
+        return self._require("_quantile", "sampler")(rng.random(int(count)))
 
     def spec_string(self):
         """Round-trippable ``name:key=value,...`` form."""
@@ -134,25 +132,14 @@ def make_pareto(alpha, xm=1.0):
     def cdf(x):
         return np.where(x >= xm, -np.expm1(alpha * (np.log(xm) - np.log(np.maximum(x, xm)))), 0.0)
 
-    def log_cdf(x):
-        with np.errstate(divide="ignore"):
-            return np.where(
-                x > xm,
-                np.log1p(-((xm / np.maximum(x, xm)) ** alpha)),
-                -np.inf,
-            )
-
     def pdf_derivative(x):
         return np.where(
             x >= xm, -alpha * (alpha + 1.0) * xm**alpha * x ** (-alpha - 2.0), 0.0
         )
 
     def quantile(u):
+        # sampling feeds u in [0, 1), so 1 - u in (0, 1] never hits the pole
         return xm * (1.0 - u) ** (-1.0 / alpha)
-
-    def sampler(rng, size):
-        # 1 - U is in (0, 1], avoiding the u=0 pole of the inverse CDF
-        return xm * (1.0 - rng.random(size)) ** (-1.0 / alpha)
 
     return TailFamily(
         name="pareto",
@@ -161,10 +148,8 @@ def make_pareto(alpha, xm=1.0):
         support_lo=xm,
         _pdf=pdf,
         _cdf=cdf,
-        _log_cdf=log_cdf,
         _pdf_derivative=pdf_derivative,
         _quantile=quantile,
-        _sampler=sampler,
     )
 
 
@@ -177,10 +162,6 @@ def make_half_cauchy(scale=1.0):
 
     def cdf(x):
         return (2.0 / np.pi) * np.arctan(x / s)
-
-    def log_cdf(x):
-        with np.errstate(divide="ignore"):
-            return np.log(2.0 / np.pi) + np.log(np.arctan(x / s))
 
     def pdf_derivative(x):
         return -(2.0 / np.pi) * s * 2.0 * x / (s * s + x * x) ** 2
@@ -197,7 +178,6 @@ def make_half_cauchy(scale=1.0):
         tail_index=1.0,
         _pdf=pdf,
         _cdf=cdf,
-        _log_cdf=log_cdf,
         _pdf_derivative=pdf_derivative,
         _quantile=quantile,
         _sampler=sampler,
@@ -214,28 +194,19 @@ def make_exponential(rate=1.0):
     def cdf(x):
         return -np.expm1(-r * x)
 
-    def log_cdf(x):
-        with np.errstate(divide="ignore"):
-            return np.log(-np.expm1(-r * x))
-
     def pdf_derivative(x):
         return -r * r * np.exp(-r * x)
 
     def quantile(u):
         return -np.log1p(-u) / r
 
-    def sampler(rng, size):
-        return quantile(rng.random(size))
-
     return TailFamily(
         name="exponential",
         params={"rate": r},
         _pdf=pdf,
         _cdf=cdf,
-        _log_cdf=log_cdf,
         _pdf_derivative=pdf_derivative,
         _quantile=quantile,
-        _sampler=sampler,
     )
 
 
@@ -250,28 +221,19 @@ def make_half_normal(sigma=1.0):
     def cdf(x):
         return special.erf(x / (s * np.sqrt(2.0)))
 
-    def log_cdf(x):
-        with np.errstate(divide="ignore"):
-            return np.log(special.erf(x / (s * np.sqrt(2.0))))
-
     def pdf_derivative(x):
         return -x / (s * s) * pdf(x)
 
     def quantile(u):
         return s * special.ndtri((1.0 + u) / 2.0)
 
-    def sampler(rng, size):
-        return quantile(rng.random(size))
-
     return TailFamily(
         name="half_normal",
         params={"sigma": s},
         _pdf=pdf,
         _cdf=cdf,
-        _log_cdf=log_cdf,
         _pdf_derivative=pdf_derivative,
         _quantile=quantile,
-        _sampler=sampler,
     )
 
 
@@ -317,10 +279,8 @@ def make_symmetric_stable(alpha, scale=1.0):
 _MAKERS = {
     "pareto": (make_pareto, {"alpha", "xm"}),
     "half_cauchy": (make_half_cauchy, {"scale"}),
-    "halfcauchy": (make_half_cauchy, {"scale"}),
     "exponential": (make_exponential, {"rate"}),
     "half_normal": (make_half_normal, {"sigma"}),
-    "halfnormal": (make_half_normal, {"sigma"}),
     "stable": (make_symmetric_stable, {"alpha", "scale"}),
 }
 
@@ -336,7 +296,7 @@ def parse_family_spec(spec):
     name, _, rest = text.partition(":")
     name = name.strip().replace("-", "_")
     if name not in _MAKERS:
-        known = ", ".join(sorted({"pareto", "half_cauchy", "exponential", "half_normal", "stable"}))
+        known = ", ".join(sorted(_MAKERS))
         raise ParameterDomainError(f"unknown family {name!r} (known: {known})")
     maker, allowed = _MAKERS[name]
     kwargs = {}

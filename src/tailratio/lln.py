@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterDomainError
-from .rng import check_seed, stream, substream
+from .errors import ParameterDomainError
+from .rng import check_seed, substream
 
 _CHUNK = 100_000
 
@@ -48,8 +48,6 @@ def running_mean_trajectory(family, total, checkpoints, seed):
     Streams the sample in fixed-size chunks, so memory use is constant in
     `total`.  Deterministic given (family, seed).
     """
-    if not family.has_sampler:
-        raise CapabilityError(f"family {family.name!r} has no sampler")
     total = int(total)
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 1 for c in cps) or any(
@@ -63,27 +61,16 @@ def running_mean_trajectory(family, total, checkpoints, seed):
             f"last checkpoint {cps[-1]} exceeds total {total}"
         )
     seed = check_seed(seed)
-    rng = stream(seed)
+    rng = substream(seed)
 
     means = []
     running_sum = 0.0
     drawn = 0
-    targets = iter(cps)
-    target = next(targets)
-    done = False
-    while drawn < total and not done:
-        chunk = family.sample_with(rng, min(_CHUNK, total - drawn))
-        offset = drawn
-        drawn += chunk.size
-        csum = np.cumsum(chunk)
-        while target is not None and target <= drawn:
-            means.append((running_sum + csum[target - offset - 1]) / target)
-            try:
-                target = next(targets)
-            except StopIteration:
-                target = None
-                done = True
-        running_sum += csum[-1]
+    while drawn < cps[-1]:
+        csum = running_sum + np.cumsum(family.sample_with(rng, min(_CHUNK, total - drawn)))
+        means += [csum[c - drawn - 1] / c for c in cps if drawn < c <= drawn + csum.size]
+        drawn += csum.size
+        running_sum = csum[-1]
     return TrajectorySeries(
         checkpoints=tuple(cps),
         running_means=tuple(float(m) for m in means),
@@ -102,8 +89,6 @@ def scaling_exponent_experiment(family, ns, replications, seed):
     The median, not the mean, is taken across replications: |mean| has no
     finite expectation when the tail index is at most 1.
     """
-    if not family.has_sampler:
-        raise CapabilityError(f"family {family.name!r} has no sampler")
     ns = [int(n) for n in ns]
     if len(ns) < 2 or any(n < 1 for n in ns) or any(
         b <= a for a, b in zip(ns, ns[1:])

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import (
-    AccuracyError,
-    CapabilityError,
-    ParameterDomainError,
-    SingularityError,
-)
+from .errors import AccuracyError, ParameterDomainError, SingularityError
 from .intervals import wilson_interval
 from .outliers import _event, _top_two, check_kappa
 from .rng import check_seed, substream
@@ -93,60 +88,35 @@ def _quad(func, a, b, epsabs, epsrel, limit, points=None):
 def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000):
     """Finite-n outlier probability by adaptive quadrature.
 
-    When the family has a quantile, the integral is rewritten with
-    u = F(kappa*y) followed by w = u**n, giving
+    The integral is rewritten with u = F(kappa*y) followed by w = u**n,
+    giving
 
         P = integral_0^1  p(Q(w**(1/n)) / kappa) / (kappa * p(Q(w**(1/n))))  dw,
 
     which is bounded, smooth, and free of underflow for any n (the w
     substitution absorbs the F**(n-1) spike at the upper quantiles, where
-    a naive grid would miss all the mass).  Without a quantile the raw
-    integrand n * exp((n-1) * logF(kappa*y)) * p(y) is integrated over
-    (0, inf) via y = t/(1-t), in log space so large n never underflows to
-    a spurious zero where log F is finite.
+    a naive grid would miss all the mass).  The family therefore needs a
+    density p and a quantile Q; without either, :class:`CapabilityError`
+    is raised on first use.
 
     Raises :class:`AccuracyError` (carrying the best estimate) if the
     quadrature error bound exceeds the requested tolerance.
     """
     n = _check_n(n)
     kappa = check_kappa(kappa)
-    if not family.has_pdf:
-        raise CapabilityError(f"family {family.name!r} has no density")
 
-    if family.has_quantile:
+    def integrand(w):
+        if w <= 0.0:
+            u = 0.0
+        else:
+            u = min(np.exp(np.log(w) / n), _U_MAX)
+        x = float(family.quantile(u))  # x = kappa * y
+        den = kappa * float(family.pdf(x))
+        if den == 0.0:
+            return 0.0
+        return float(family.pdf(x / kappa)) / den
 
-        def integrand(w):
-            if w <= 0.0:
-                u = 0.0
-            else:
-                u = min(np.exp(np.log(w) / n), _U_MAX)
-            x = float(family.quantile(u))  # x = kappa * y
-            den = kappa * float(family.pdf(x))
-            if den == 0.0:
-                return 0.0
-            return float(family.pdf(x / kappa)) / den
-
-        value, err = _quad(integrand, 0.0, 1.0, epsabs, epsrel, limit)
-    elif family.has_cdf:
-
-        def integrand(t):
-            y = t / (1.0 - t)
-            lf = float(family.log_cdf(kappa * y))
-            if not np.isfinite(lf):
-                return 0.0
-            return (
-                n
-                * np.exp((n - 1) * lf)
-                * float(family.pdf(y))
-                / (1.0 - t) ** 2
-            )
-
-        value, err = _quad(integrand, 0.0, 1.0, epsabs, epsrel, limit)
-    else:
-        raise CapabilityError(
-            f"family {family.name!r} needs a cdf (or quantile) and density"
-        )
-
+    value, err = _quad(integrand, 0.0, 1.0, epsabs, epsrel, limit)
     tol = max(epsabs, epsrel * abs(value))
     if err > tol:
         raise AccuracyError(
@@ -175,8 +145,6 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     trials = int(trials)
     if trials < 1:
         raise ParameterDomainError(f"trials must be >= 1, got {trials}")
-    if not family.has_sampler:
-        raise CapabilityError(f"family {family.name!r} has no sampler")
     seed = check_seed(seed)
 
     hits = 0
@@ -212,10 +180,6 @@ def joint_oracle_probability(family, n, kappa, *, epsabs=1e-9, epsrel=1e-9):
     if not 2 <= n <= 8:
         raise ParameterDomainError(f"joint oracle supports n in 2..8, got {n}")
     kappa = check_kappa(kappa)
-    if not (family.has_pdf and family.has_cdf):
-        raise CapabilityError(
-            f"family {family.name!r} needs cdf and density for the joint oracle"
-        )
     lo = family.support_lo
     inner_eps = epsabs / 100.0
 
@@ -261,8 +225,6 @@ def boundary_ratio(family, kappa, x):
     """
     kappa = check_kappa(kappa)
     x = float(x)
-    if not family.has_pdf:
-        raise CapabilityError(f"family {family.name!r} has no density")
     den = kappa * float(family.pdf(kappa * x))
     if den == 0.0:
         raise SingularityError(
@@ -292,13 +254,6 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     """
     kappa = check_kappa(kappa)
     n = _check_n(n)
-    for cap, what in (
-        (family.has_cdf, "cdf"),
-        (family.has_pdf, "density"),
-        (family.has_pdf_derivative, "density derivative"),
-    ):
-        if not cap:
-            raise CapabilityError(f"family {family.name!r} has no {what}")
 
     edge = family.support_lo
     lo, hi = (None, None) if probe_range is None else probe_range

@@ -25,13 +25,10 @@ def check_seed(seed):
     return seed
 
 
-def stream(seed):
-    """PCG64 generator for the base stream of `seed`."""
-    return np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
-
-
 def substream(seed, *index):
-    """PCG64 generator for substream `index` (one or more ints) of `seed`.
+    """PCG64 generator for substream `index` (zero or more ints) of `seed`.
+
+    With no index this is the base stream of `seed`.
 
     Distinct indices give statistically independent streams; the mapping is
     pure, so parallel callers may derive the same substream independently.

@@ -123,10 +123,13 @@ class TestProbability:
         assert code == 2 and "--seed" in err
 
     def test_capability_exit_code(self, capsys):
-        code, _, _ = run_cli(
-            ["prob-exact", "--dist", "stable:alpha=0.6", "--n", "10"], capsys
-        )
-        assert code == 3
+        for argv in (
+            ["prob-exact", "--dist", "stable:alpha=0.6", "--n", "10"],
+            ["prob-oracle", "--dist", "stable:alpha=0.6", "--n", "3"],
+            ["check-conditions", "--dist", "stable:alpha=0.6"],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 3 and out == ""
 
     def test_unknown_family_exit_code(self, capsys):
         code, _, _ = run_cli(
@@ -187,6 +190,30 @@ class TestFormatsAndConfig:
         code, out, _ = run_cli(["prob-limit", "--config", str(cfg)], capsys)
         assert code == 0 and out.startswith("method,")
         assert len(reads) == 1
+
+    def test_config_value_outside_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, err = run_cli(["prob-limit", "--alpha", "1", "--config", str(cfg)], capsys)
+        assert code == 2 and out == "" and "--format" in err
+        code, out, _ = run_cli(["prob-limit", "--alpha", "1", "--format", "xml"], capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("n", [2.9, True])
+    def test_config_integer_must_be_integral(self, capsys, tmp_path, n):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": n}))
+        argv = ["prob-oracle", "--dist", "pareto:alpha=1", "--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "--n" in err
+
+    def test_config_integral_float_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2.0}))
+        code, out, _ = run_cli(
+            ["prob-oracle", "--dist", "pareto:alpha=1,xm=1", "--config", str(cfg)], capsys
+        )
+        assert code == 0 and json.loads(out)["n"] == 2
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -6,6 +6,7 @@ from scipy import integrate
 
 import tailratio as tr
 from tailratio.errors import CapabilityError, ParameterDomainError
+from tailratio.rng import substream
 
 FULL_FAMILIES = [
     tr.make_pareto(1.5, 1.0),
@@ -52,7 +53,6 @@ class TestPareto:
         fam = tr.make_pareto(1.5, 1.0)
         assert fam.cdf(0.5) == 0.0
         assert fam.pdf(0.5) == 0.0
-        assert fam.log_cdf(0.5) == -np.inf
 
     def test_density_ratio_identity(self):
         # p(x)/(kappa p(kappa x)) == kappa**alpha wherever both points are in support
@@ -147,6 +147,22 @@ class TestSampling:
         emp = (x <= 1.0).mean()
         assert emp == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "fam",
+        [tr.make_pareto(1.5, 2.0), tr.make_exponential(0.5), tr.make_half_normal(2.0)],
+        ids=lambda f: f.name,
+    )
+    def test_sample_is_quantile_of_uniforms(self, fam):
+        got = fam.sample(1000, 31)
+        want = fam.quantile(substream(31).random(1000))
+        assert got.tobytes() == want.tobytes()
+
+    def test_quantile_only_family_samples(self):
+        fam = tr.TailFamily(name="quantile_only", _quantile=lambda u: 2.0 * u)
+        assert fam.has_sampler and not fam.has_cdf
+        x = fam.sample(100, 5)
+        assert np.array_equal(x, 2.0 * substream(5).random(100))
+
     def test_missing_sampler_capability(self):
         fam = tr.TailFamily(name="cdf_only", _cdf=lambda x: x)
         with pytest.raises(CapabilityError):
@@ -199,10 +215,6 @@ class TestFullCapabilityInvariants:
         fd = (fam.pdf(xs + h) - fam.pdf(xs - h)) / (2.0 * h)
         assert np.allclose(fd, fam.pdf_derivative(xs), rtol=1e-4, atol=1e-7)
 
-    def test_log_cdf_consistent(self, fam):
-        xs = fam.quantile(np.linspace(0.05, 0.95, 19))
-        assert np.allclose(fam.log_cdf(xs), np.log(fam.cdf(xs)), rtol=1e-10)
-
     def test_kolmogorov_distance(self, fam):
         x = np.sort(np.abs(fam.sample(10**5, 2024)))
         theo = np.asarray(fam.cdf(x))
@@ -244,8 +256,13 @@ class TestSpecStrings:
         assert fam.tail_index == 0.6
 
     def test_unknown_family(self):
-        with pytest.raises(ParameterDomainError):
-            tr.parse_family_spec("weibull:k=1")
+        # names without the underscore are unknown like any other
+        for spec in ("weibull:k=1", "halfcauchy:scale=1", "halfnormal:sigma=1"):
+            with pytest.raises(ParameterDomainError) as exc:
+                tr.parse_family_spec(spec)
+            assert str(exc.value).endswith(
+                "(known: exponential, half_cauchy, half_normal, pareto, stable)"
+            )
 
     def test_unknown_key(self):
         with pytest.raises(ParameterDomainError):

@@ -80,24 +80,14 @@ class TestExactProbability:
         r = tr.exact_probability(tr.make_half_cauchy(1.0), 10**6, 0.5)
         assert np.isfinite(r.value) and 0.0 < r.value < 1.0
 
-    def test_cdf_only_fallback_route(self):
-        # family without a quantile exercises the log-space t/(1-t) route
-        base = tr.make_half_cauchy(1.0)
-        fam = TailFamily(
-            name="half_cauchy_noq",
-            params=dict(base.params),
-            _pdf=base._pdf,
-            _cdf=base._cdf,
-            _log_cdf=base._log_cdf,
-        )
-        for n in (2, 10, 100):
-            a = tr.exact_probability(fam, n, 0.5).value
-            b = tr.exact_probability(base, n, 0.5).value
-            assert a == pytest.approx(b, abs=1e-7)
-
     def test_capability_error(self):
         with pytest.raises(CapabilityError):
             tr.exact_probability(tr.make_symmetric_stable(0.6, 1.0), 10, 0.5)
+        # the quadrature needs a quantile; a cdf alone is not enough
+        base = tr.make_half_cauchy(1.0)
+        fam = TailFamily(name="half_cauchy_noq", _pdf=base._pdf, _cdf=base._cdf)
+        with pytest.raises(CapabilityError, match="no quantile"):
+            tr.exact_probability(fam, 10, 0.5)
 
     def test_domain_errors(self):
         fam = tr.make_pareto(1.0, 1.0)
