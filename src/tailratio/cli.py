@@ -4,8 +4,9 @@ Subcommands cover the whole library: ratio-outlier detection, the k-sigma
 baseline, the three probability routes plus the small-n oracle, the
 convergence-condition probe, tail-index estimation, and the running-mean
 experiments.  All numeric output is reproducible bit-for-bit from the flags:
-Monte Carlo subcommands require an explicit --seed (no silent entropy) and
---threads never changes numbers, only scheduling.
+Monte Carlo subcommands require an explicit --seed (no silent entropy).
+--threads is checked (an integer >= 1) but has no effect yet: every
+subcommand runs on one thread.
 
 Each subcommand is declared once in _COMMANDS: its help, its options and a
 handler that turns the resolved options into a record (or a ready CSV
@@ -19,7 +20,9 @@ data, 5 accuracy failure, 6 degenerate frequency.
 
 import argparse
 import json
+import math
 import sys
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -30,6 +33,9 @@ from .errors import (
     DegenerateFrequencyError,
     InsufficientDataError,
     ParameterDomainError,
+    TailRatioError,
+    check_int,
+    check_real,
 )
 from .estimation import estimate_alpha_from_data
 from .families import parse_family_spec
@@ -44,11 +50,14 @@ EXIT_DEGENERATE = 6
 _REQUIRED = object()
 
 
-def _int(value):
-    """int(value), refusing booleans and floats with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _int(value, lo=-math.inf):
+    """An integer option: text through int(), any value through check_int."""
+    return check_int(int(value) if isinstance(value, str) else value, "value", lo)
+
+
+def _real(value):
+    """A real option: check_real parses text and refuses booleans and NaN."""
+    return check_real(value, "value", -math.inf, math.inf, "[]")
 
 
 def _int_list(text):
@@ -70,24 +79,22 @@ class _Option(NamedTuple):
     choices: tuple | None = None
 
 
-_KAPPA = _Option("kappa", float, 0.5, "ratio threshold in (0,1)")
+_KAPPA = _Option("kappa", _real, 0.5, "ratio threshold in (0,1)")
 _INPUT = _Option("input", str, None, "input file, one number per line ('-' or omit for stdin)")
-_DIST = _Option("dist", str, _REQUIRED, "family spec, name:key=value,... "
+# looked up per call, so a wrapper bound to the name (perfbench's tracer) sees it
+_DIST = _Option("dist", lambda spec: parse_family_spec(spec), _REQUIRED,
+                "family spec, name:key=value,... "
                 "(e.g. pareto:alpha=1.5,xm=1 or stable:alpha=0.6,scale=1)")
 _N = _Option("n", _int, _REQUIRED, "sample size, >= 2")
 _SEED = _Option("seed", _int, _REQUIRED, "64-bit RNG seed; no silent entropy")
-_THREADS = _Option("threads", _int, 1, "worker threads; never changes numeric output")
+_THREADS = _Option("threads", partial(_int, lo=1), 1,
+                   "worker threads, >= 1; accepted but has no effect yet")
 _OUTPUT = (
     _Option("format", str, "json", "output format", ("json", "csv")),
     _Option("output", str, None, "output file (default: stdout)"),
     _Option("config", str, None,
             "JSON file supplying the same keys as the flags; flags override it"),
 )
-
-
-def _check_threads(opts):
-    if opts.threads < 1:
-        raise ParameterDomainError(f"threads must be >= 1, got {opts.threads}")
 
 
 def _detect(opts):
@@ -111,36 +118,31 @@ def _prob_limit(opts):
 
 
 def _prob_exact(opts):
-    family = parse_family_spec(opts.dist)
-    result = probability.exact_probability(family, opts.n, opts.kappa)
-    return records.probability_record(result, family.name, family.params)
+    result = probability.exact_probability(opts.dist, opts.n, opts.kappa)
+    return records.probability_record(result, opts.dist.name, opts.dist.params)
 
 
 def _prob_mc(opts):
-    family = parse_family_spec(opts.dist)
-    _check_threads(opts)
     result = probability.mc_probability(
-        family, opts.n, opts.kappa, opts.trials, opts.seed, opts.confidence
+        opts.dist, opts.n, opts.kappa, opts.trials, opts.seed, opts.confidence
     )
-    return records.probability_record(result, family.name, family.params)
+    return records.probability_record(result, opts.dist.name, opts.dist.params)
 
 
 def _prob_oracle(opts):
-    family = parse_family_spec(opts.dist)
-    result = probability.joint_oracle_probability(family, opts.n, opts.kappa)
-    return records.probability_record(result, family.name, family.params)
+    result = probability.joint_oracle_probability(opts.dist, opts.n, opts.kappa)
+    return records.probability_record(result, opts.dist.name, opts.dist.params)
 
 
 def _check_conditions(opts):
-    family = parse_family_spec(opts.dist)
     report = probability.check_theorem_conditions(
-        family,
+        opts.dist,
         opts.kappa,
         opts.n,
         probe_range=(opts.probe_lo, opts.probe_hi),
         grid_points=opts.grid_points,
     )
-    return records.condition_record(report, family, opts.kappa, opts.n)
+    return records.condition_record(report, opts.dist, opts.kappa, opts.n)
 
 
 def _estimate_alpha(opts):
@@ -151,23 +153,20 @@ def _estimate_alpha(opts):
 
 
 def _lln_demo(opts):
-    family = parse_family_spec(opts.dist)
-    _check_threads(opts)
     if opts.mode == "trajectory":
         reps = 1 if opts.replications is None else opts.replications
         rows = []
         for r in range(reps):
             series = lln.running_mean_trajectory(
-                family, opts.total, opts.checkpoints, (opts.seed + r) % 2**64
+                opts.dist, opts.total, opts.checkpoints, (opts.seed + r) % 2**64
             )
             rows.extend((n, r, m) for n, m in zip(series.checkpoints, series.running_means))
         return records.rows_to_csv(["n", "replication", "running_mean"], rows)
     reps = 200 if opts.replications is None else opts.replications
-    result = lln.scaling_exponent_experiment(family, opts.ns, reps, opts.seed)
-    alpha = family.tail_index
-    if alpha is None and family.name == "stable":
-        alpha = family.params["alpha"]
-    theory = lln.theory_slope(alpha) if alpha is not None else None
+    result = lln.scaling_exponent_experiment(opts.dist, opts.ns, reps, opts.seed)
+    alpha = opts.dist.params.get("alpha", opts.dist.tail_index)
+    # 1/alpha - 1 is the stable exponent; a tail with finite variance (alpha > 2) has none
+    theory = lln.theory_slope(alpha) if alpha is not None and alpha <= 2.0 else None
     table = records.rows_to_csv(["n", "median_abs_mean"], zip(result.ns, result.per_n_medians))
     return table + records.rows_to_csv(["slope", "theory_slope"], [(result.slope, theory)])
 
@@ -181,13 +180,13 @@ _COMMANDS = {
     ),
     "ksigma": (
         "classical k-sigma outlier indices (baseline rule)",
-        (_Option("k", float, 3.0, "number of standard deviations"), _INPUT),
+        (_Option("k", _real, 3.0, "number of standard deviations"), _INPUT),
         _ksigma,
     ),
     "prob-limit": (
         "large-n outlier probability kappa**alpha",
         (_KAPPA._replace(help="ratio threshold in (0,1]"),
-         _Option("alpha", float, _REQUIRED, "tail index, positive")),
+         _Option("alpha", _real, _REQUIRED, "tail index, positive")),
         _prob_limit,
     ),
     "prob-exact": (
@@ -200,7 +199,7 @@ _COMMANDS = {
         (_DIST, _N, _KAPPA,
          _Option("trials", _int, 100_000, "number of samples"),
          _SEED,
-         _Option("confidence", float, 0.95, "Wilson interval level"),
+         _Option("confidence", _real, 0.95, "Wilson interval level"),
          _THREADS),
         _prob_mc,
     ),
@@ -213,9 +212,9 @@ _COMMANDS = {
         "numeric probe of the convergence conditions",
         (_DIST, _KAPPA,
          _Option("n", _int, 1000, "sample size for the edge probe"),
-         _Option("probe_lo", float, None,
+         _Option("probe_lo", _real, None,
                  "lower end of probe range (default: support edge + 0.01)"),
-         _Option("probe_hi", float, None,
+         _Option("probe_hi", _real, None,
                  "upper end of probe range (default: support edge + 50)"),
          _Option("grid_points", _int, 401, "grid size for the integrand probe")),
         _check_conditions,
@@ -224,7 +223,7 @@ _COMMANDS = {
         "tail index from block outlier frequency",
         (_Option("block_size", _int, _REQUIRED, "observations per block, >= 2"),
          _KAPPA,
-         _Option("confidence", float, 0.95, "CI level"),
+         _Option("confidence", _real, 0.95, "CI level"),
          _INPUT),
         _estimate_alpha,
     ),
@@ -342,7 +341,7 @@ def main(argv=None):
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (ParameterDomainError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TailRatioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     return 0

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all tailratio modules."""
+"""Exception hierarchy shared by all tailratio modules, and the argument checks.
+
+Every entry point and every numeric CLI option coerces and range-checks its
+numbers through `check_int` and `check_real`, which raise ParameterDomainError.
+"""
+
+import math
+
+import numpy as np
 
 
 class TailRatioError(Exception):
@@ -7,6 +15,41 @@ class TailRatioError(Exception):
 
 class ParameterDomainError(TailRatioError, ValueError):
     """A numeric argument lies outside its documented domain."""
+
+
+def check_int(value, name, lo, hi=None):
+    """`value` as an int in [lo, hi], or in [lo, inf) when `hi` is None.
+
+    3.0 and numpy integers are accepted; a boolean, a fraction, NaN, infinity
+    or a non-number is refused rather than truncated by int().
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not (isinstance(value, (float, np.floating)) and float(value).is_integer()):
+            raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ParameterDomainError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
+def check_real(value, name, lo, hi, ends="()"):
+    """float(value) in the interval from `lo` to `hi`, open or closed at each end.
+
+    `ends` holds the brackets, e.g. "(]" for lo < value <= hi.  A boolean, NaN
+    or a value float() refuses lies outside every interval.
+    """
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    above = lo < number if ends[0] == "(" else lo <= number
+    below = number < hi if ends[1] == ")" else number <= hi
+    if not (above and below):
+        raise ParameterDomainError(
+            f"{name} must be a real number in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}"
+        )
+    return number
 
 
 class CapabilityError(TailRatioError):

@@ -15,7 +15,7 @@ monotone map; the map is decreasing in p_hat, so the endpoints swap.
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFrequencyError, ParameterDomainError
+from .errors import DegenerateFrequencyError, check_int, check_real
 from .intervals import wilson_interval
 from .outliers import block_event_frequency, check_kappa
 
@@ -45,12 +45,9 @@ def estimate_alpha_from_frequency(p_hat, kappa, blocks, confidence=0.95, block_s
     still yields a one-sided bound on alpha, which the error carries.
     """
     kappa = check_kappa(kappa)
-    blocks = int(blocks)
-    if blocks < 1:
-        raise ParameterDomainError(f"blocks must be >= 1, got {blocks}")
-    p_hat = float(p_hat)
-    if not 0.0 <= p_hat <= 1.0:
-        raise ParameterDomainError(f"p_hat must lie in [0, 1], got {p_hat}")
+    blocks = check_int(blocks, "blocks", 1)
+    p_hat = check_real(p_hat, "p_hat", 0, 1, "[]")
+    confidence = check_real(confidence, "confidence", 0, 1)
 
     p_lo, p_hi = wilson_interval(p_hat, blocks, confidence)
     if p_hat == 1.0:
@@ -78,13 +75,14 @@ def estimate_alpha_from_frequency(p_hat, kappa, blocks, confidence=0.95, block_s
         block_size=block_size,
         blocks=blocks,
         ci=(_alpha_of(p_hi, kappa), _alpha_of(p_lo, kappa)),
-        confidence=float(confidence),
+        confidence=confidence,
     )
 
 
 def estimate_alpha_from_data(data, block_size, kappa, confidence=0.95):
     """Estimate alpha from raw data via disjoint-block event frequencies."""
+    block_size = check_int(block_size, "block_size", 2)
     p_hat, blocks = block_event_frequency(data, block_size, kappa)
     return estimate_alpha_from_frequency(
-        p_hat, kappa, blocks, confidence=confidence, block_size=int(block_size)
+        p_hat, kappa, blocks, confidence=confidence, block_size=block_size
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import CapabilityError, ParameterDomainError
+from .errors import CapabilityError, ParameterDomainError, check_int, check_real
 from .records import _fmt
 from .rng import substream
 
@@ -88,15 +88,13 @@ class TailFamily:
 
     def sample(self, count, seed):
         """Draw `count` i.i.d. signed values, deterministic in `seed`."""
-        if count < 1:
-            raise ParameterDomainError(f"count must be >= 1, got {count}")
-        return self.sample_with(substream(seed), count)
+        return self.sample_with(substream(seed), check_int(count, "count", 1))
 
     def sample_with(self, rng, count):
         """Draw `count` values from an already-constructed generator."""
         if self._sampler is not None:
-            return self._sampler(rng, int(count))
-        return self._require("_quantile", "sampler")(rng.random(int(count)))
+            return self._sampler(rng, count)
+        return self._require("_quantile", "sampler")(rng.random(count))
 
     def spec_string(self):
         """Round-trippable ``name:key=value,...`` form."""
@@ -109,13 +107,6 @@ def sample(family, count, seed):
     return family.sample(count, seed)
 
 
-def _positive(value, name):
-    value = float(value)
-    if not value > 0 or not np.isfinite(value):
-        raise ParameterDomainError(f"{name} must be positive, got {value}")
-    return value
-
-
 def make_pareto(alpha, xm=1.0):
     """Pareto family: F(x) = 1 - (xm/x)**alpha for x >= xm.
 
@@ -123,8 +114,8 @@ def make_pareto(alpha, xm=1.0):
     kappa**alpha identically, so every finite-n outlier probability already
     sits at its limiting value.
     """
-    alpha = _positive(alpha, "alpha")
-    xm = _positive(xm, "xm")
+    alpha = check_real(alpha, "alpha", 0, np.inf)
+    xm = check_real(xm, "xm", 0, np.inf)
 
     def pdf(x):
         return np.where(x >= xm, alpha * xm**alpha * x ** (-alpha - 1.0), 0.0)
@@ -155,7 +146,7 @@ def make_pareto(alpha, xm=1.0):
 
 def make_half_cauchy(scale=1.0):
     """Half-Cauchy family: F(x) = (2/pi) * arctan(x/scale), tail index 1."""
-    s = _positive(scale, "scale")
+    s = check_real(scale, "scale", 0, np.inf)
 
     def pdf(x):
         return (2.0 / np.pi) * s / (s * s + x * x)
@@ -186,7 +177,7 @@ def make_half_cauchy(scale=1.0):
 
 def make_exponential(rate=1.0):
     """Exponential family, a light-tailed control with no tail index."""
-    r = _positive(rate, "rate")
+    r = check_real(rate, "rate", 0, np.inf)
 
     def pdf(x):
         return r * np.exp(-r * x)
@@ -212,7 +203,7 @@ def make_exponential(rate=1.0):
 
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
-    s = _positive(sigma, "sigma")
+    s = check_real(sigma, "sigma", 0, np.inf)
     c = np.sqrt(2.0 / np.pi) / s
 
     def pdf(x):
@@ -251,10 +242,8 @@ def make_symmetric_stable(alpha, scale=1.0):
     alpha = 2 the law is normal (variance 2*scale**2) and carries no tail
     index.
     """
-    a = float(alpha)
-    if not 0.0 < a <= 2.0:
-        raise ParameterDomainError(f"alpha must be in (0, 2], got {alpha}")
-    s = _positive(scale, "scale")
+    a = check_real(alpha, "alpha", 0, 2, "(]")
+    s = check_real(scale, "scale", 0, np.inf)
 
     def sampler(rng, size):
         u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
@@ -292,7 +281,7 @@ def parse_family_spec(spec):
     underscores.  Unknown names or keys raise
     :class:`~tailratio.errors.ParameterDomainError`.
     """
-    text = spec.strip().lower()
+    text = str(spec).strip().lower()
     name, _, rest = text.partition(":")
     name = name.strip().replace("-", "_")
     if name not in _MAKERS:
@@ -310,12 +299,7 @@ def parse_family_spec(spec):
                 raise ParameterDomainError(
                     f"unknown parameter {key!r} for family {name!r}"
                 )
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ParameterDomainError(
-                    f"parameter {key!r} has non-numeric value {value!r}"
-                ) from None
+            kwargs[key] = value
     try:
         return maker(**kwargs)
     except TypeError:

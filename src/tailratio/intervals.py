@@ -3,16 +3,12 @@
 import numpy as np
 from scipy import special
 
-from .errors import ParameterDomainError
+from .errors import check_int, check_real
 
 
 def normal_quantile(confidence):
     """Two-sided z value for the given confidence level."""
-    confidence = float(confidence)
-    if not 0.0 < confidence < 1.0:
-        raise ParameterDomainError(
-            f"confidence must lie in (0, 1), got {confidence}"
-        )
+    confidence = check_real(confidence, "confidence", 0, 1)
     return float(special.ndtri(0.5 + confidence / 2.0))
 
 
@@ -32,12 +28,8 @@ def wilson_interval(p_hat, trials, confidence=0.95):
     -------
     (lo, hi) : the interval endpoints
     """
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterDomainError(f"trials must be >= 1, got {trials}")
-    p = float(p_hat)
-    if not 0.0 <= p <= 1.0:
-        raise ParameterDomainError(f"p_hat must lie in [0, 1], got {p}")
+    trials = check_int(trials, "trials", 1)
+    p = check_real(p_hat, "p_hat", 0, 1, "[]")
     z = normal_quantile(confidence)
     z2 = z * z
     denom = 1.0 + z2 / trials

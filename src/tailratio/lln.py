@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_int, check_real
 from .rng import check_seed, substream
 
 _CHUNK = 100_000
@@ -42,24 +42,24 @@ class ScalingResult:
     seed: int
 
 
+def _increasing(values, name, need, hi=None):
+    """`values` as a list of at least `need` strictly increasing integers in [1, hi]."""
+    out = []
+    for v in values:
+        out.append(check_int(v, f"entry of {name}", out[-1] + 1 if out else 1, hi))
+    if len(out) < need:
+        raise ParameterDomainError(f"too few {name}: need {need}, got {len(out)}")
+    return out
+
+
 def running_mean_trajectory(family, total, checkpoints, seed):
     """Partial means of one sample stream, recorded at the checkpoints.
 
     Streams the sample in fixed-size chunks, so memory use is constant in
     `total`.  Deterministic given (family, seed).
     """
-    total = int(total)
-    cps = [int(c) for c in checkpoints]
-    if not cps or any(c < 1 for c in cps) or any(
-        b <= a for a, b in zip(cps, cps[1:])
-    ):
-        raise ParameterDomainError(
-            f"checkpoints must be increasing positive integers, got {checkpoints}"
-        )
-    if cps[-1] > total:
-        raise ParameterDomainError(
-            f"last checkpoint {cps[-1]} exceeds total {total}"
-        )
+    total = check_int(total, "total", 1)
+    cps = _increasing(checkpoints, "checkpoints", 1, total)
     seed = check_seed(seed)
     rng = substream(seed)
 
@@ -89,18 +89,8 @@ def scaling_exponent_experiment(family, ns, replications, seed):
     The median, not the mean, is taken across replications: |mean| has no
     finite expectation when the tail index is at most 1.
     """
-    ns = [int(n) for n in ns]
-    if len(ns) < 2 or any(n < 1 for n in ns) or any(
-        b <= a for a, b in zip(ns, ns[1:])
-    ):
-        raise ParameterDomainError(
-            f"ns must be at least two increasing sample sizes, got {ns}"
-        )
-    replications = int(replications)
-    if replications < 1:
-        raise ParameterDomainError(
-            f"replications must be >= 1, got {replications}"
-        )
+    ns = _increasing(ns, "ns", 2)
+    replications = check_int(replications, "replications", 1)
     seed = check_seed(seed)
 
     medians = []
@@ -124,7 +114,4 @@ def scaling_exponent_experiment(family, ns, replications, seed):
 
 def theory_slope(alpha):
     """The self-similarity exponent 1/alpha - 1 for a stable law."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterDomainError(f"alpha must be in (0, 2], got {alpha}")
-    return 1.0 / alpha - 1.0
+    return 1.0 / check_real(alpha, "alpha", 0, 2, "(]") - 1.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterDomainError
+from .errors import InsufficientDataError, ParameterDomainError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,7 @@ class OutlierVerdict:
 
 def check_kappa(kappa, allow_one=False):
     """Validate and return kappa in (0, 1), or in (0, 1] with `allow_one`."""
-    kappa = float(kappa)
-    hi_ok = kappa <= 1.0 if allow_one else kappa < 1.0
-    if not (0.0 < kappa and hi_ok):
-        bound = "(0, 1]" if allow_one else "(0, 1)"
-        raise ParameterDomainError(f"kappa must lie in {bound}, got {kappa}")
-    return kappa
+    return check_real(kappa, "kappa", 0, 1, "(]" if allow_one else "()")
 
 
 def _finite_values(data, need, purpose):
@@ -127,9 +122,7 @@ def ksigma_outliers(data, k):
     Returns the empty set for constant data, where s = 0 and no deviation
     can exceed the threshold.
     """
-    k = float(k)
-    if not k > 0.0:
-        raise ParameterDomainError(f"k must be positive, got {k}")
+    k = check_real(k, "k", 0, np.inf, "(]")
     x = _finite_values(data, 2, "for the k-sigma rule")
     s = x.std()  # population convention, divide by n
     if s == 0.0:
@@ -147,9 +140,7 @@ def block_event_frequency(data, block_size, kappa):
     structure a binomial confidence interval assumes.
     """
     kappa = check_kappa(kappa)
-    n = int(block_size)
-    if n < 2:
-        raise ParameterDomainError(f"block_size must be >= 2, got {block_size}")
+    n = check_int(block_size, "block_size", 2)
     x = _finite_values(data, n, "for one full block")
     blocks = x.size // n
     mags = np.abs(x[: blocks * n]).reshape(blocks, n)

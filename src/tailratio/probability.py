@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import AccuracyError, ParameterDomainError, SingularityError
+from .errors import AccuracyError, SingularityError, check_int, check_real
 from .intervals import wilson_interval
 from .outliers import _event, _top_two, check_kappa
 from .rng import check_seed, substream
@@ -61,20 +61,10 @@ class ConditionReport:
     notes: str
 
 
-def _check_n(n):
-    n = int(n)
-    if n < 2:
-        raise ParameterDomainError(f"n must be >= 2, got {n}")
-    return n
-
-
 def limit_probability(kappa, alpha):
     """Large-n limit of the outlier-event probability: kappa**alpha."""
     kappa = check_kappa(kappa, allow_one=True)
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ParameterDomainError(f"alpha must be positive, got {alpha}")
-    return kappa**alpha
+    return kappa ** check_real(alpha, "alpha", 0, np.inf, "(]")
 
 
 def _quad(func, a, b, epsabs, epsrel, limit, points=None):
@@ -102,7 +92,7 @@ def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000
     Raises :class:`AccuracyError` (carrying the best estimate) if the
     quadrature error bound exceeds the requested tolerance.
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 2)
     kappa = check_kappa(kappa)
 
     def integrand(w):
@@ -140,12 +130,11 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     estimate is bit-identical for a given seed no matter how trials are
     scheduled; the reduction is an exact event count.
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 2)
     kappa = check_kappa(kappa)
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterDomainError(f"trials must be >= 1, got {trials}")
+    trials = check_int(trials, "trials", 1)
     seed = check_seed(seed)
+    confidence = check_real(confidence, "confidence", 0, 1)
 
     hits = 0
     for i in range(trials):
@@ -176,9 +165,7 @@ def joint_oracle_probability(family, n, kappa, *, epsabs=1e-9, epsrel=1e-9):
     validates that reduction.  Restricted to n in {2, ..., 8} where the
     powers of F cause no conditioning trouble.
     """
-    n = int(n)
-    if not 2 <= n <= 8:
-        raise ParameterDomainError(f"joint oracle supports n in 2..8, got {n}")
+    n = check_int(n, "n", 2, 8)
     kappa = check_kappa(kappa)
     lo = family.support_lo
     inner_eps = epsabs / 100.0
@@ -224,7 +211,7 @@ def boundary_ratio(family, kappa, x):
     kappa**alpha as x grows; for light tails it tends to 0.
     """
     kappa = check_kappa(kappa)
-    x = float(x)
+    x = check_real(x, "x", -np.inf, np.inf)
     den = kappa * float(family.pdf(kappa * x))
     if den == 0.0:
         raise SingularityError(
@@ -253,19 +240,13 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     (0, inf), so the report is evidence, never a verdict.
     """
     kappa = check_kappa(kappa)
-    n = _check_n(n)
+    n = check_int(n, "n", 2)
 
     edge = family.support_lo
     lo, hi = (None, None) if probe_range is None else probe_range
-    lo = edge + 0.01 if lo is None else float(lo)
-    hi = edge + 50.0 if hi is None else float(hi)
-    if not edge <= lo < hi:
-        raise ParameterDomainError(
-            f"probe_range must satisfy support_lo <= lo < hi, got {(lo, hi)}"
-        )
-    grid_points = int(grid_points)
-    if grid_points < 2:
-        raise ParameterDomainError(f"grid_points must be >= 2, got {grid_points}")
+    lo = check_real(edge + 0.01 if lo is None else lo, "probe_range[0]", edge, np.inf, "[)")
+    hi = check_real(edge + 50.0 if hi is None else hi, "probe_range[1]", lo, np.inf)
+    grid_points = check_int(grid_points, "grid_points", 2)
 
     # (a) decay toward the lower support edge, where F(kappa*x) -> 0
     start = lo if lo > edge else edge + 1.0

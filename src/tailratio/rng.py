@@ -10,19 +10,12 @@ workers run or in which order trials execute.
 
 import numpy as np
 
-from .errors import ParameterDomainError
-
-_SEED_MAX = 2**64
+from .errors import check_int
 
 
 def check_seed(seed):
     """Validate and return a 64-bit unsigned seed."""
-    seed = int(seed)
-    if not 0 <= seed < _SEED_MAX:
-        raise ParameterDomainError(
-            f"seed must be a 64-bit unsigned integer, got {seed}"
-        )
-    return seed
+    return check_int(seed, "seed", 0, 2**64 - 1)
 
 
 def substream(seed, *index):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tailratio import cli
 from tailratio.cli import main
 
 PARETO = "pareto:alpha=1.5,xm=1"
@@ -137,6 +138,12 @@ class TestProbability:
         )
         assert code == 2
 
+    def test_non_text_dist_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dist": 5}))
+        code, out, err = run_cli(["prob-exact", "--config", str(cfg), "--n", "10"], capsys)
+        assert code == 2 and out == "" and "unknown family '5'" in err
+
 
 class TestFormatsAndConfig:
     def test_json_round_trip_fixed_key_order(self, capsys):
@@ -215,6 +222,13 @@ class TestFormatsAndConfig:
         )
         assert code == 0 and json.loads(out)["n"] == 2
 
+    @pytest.mark.parametrize("key", ["alpha", "kappa"])
+    def test_config_real_refuses_boolean(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, key: True}))
+        code, out, err = run_cli(["prob-limit", "--config", str(cfg)], capsys)
+        assert code == 2 and out == "" and f"--{key}" in err
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"alpha": 1.5}))
@@ -222,6 +236,40 @@ class TestFormatsAndConfig:
             ["prob-limit", "--config", str(cfg), "--alpha", "1.0"], capsys
         )
         assert json.loads(out)["value"] == 0.5
+
+
+def test_dist_parsed_through_module_name(capsys, monkeypatch):
+    # a wrapper bound to cli.parse_family_spec (as perfbench's tracer binds one) sees the call
+    calls = []
+    real = cli.parse_family_spec
+    monkeypatch.setattr(cli, "parse_family_spec", lambda spec: calls.append(spec) or real(spec))
+    code, _, _ = run_cli(["prob-exact", "--dist", PARETO, "--n", "10"], capsys)
+    assert code == 0 and calls == [PARETO]
+
+
+# a valid flag for every required option, so the option under test fails alone
+REQUIRED_FLAGS = {"dist": PARETO, "n": "3", "seed": "1", "alpha": "1.5", "block_size": "3"}
+NUMERIC_OPTIONS = [
+    (command, option)
+    for command, (_, options, _) in cli._COMMANDS.items()
+    for option in options
+    if option.type is not str and option.name != "dist"
+]
+
+
+@pytest.mark.parametrize("value", [True, "x"])
+@pytest.mark.parametrize(
+    "command,option", NUMERIC_OPTIONS, ids=[f"{c}-{o.name}" for c, o in NUMERIC_OPTIONS]
+)
+def test_config_numeric_option_refuses(command, option, value, capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({option.name: value}))
+    argv = [command, "--config", str(cfg)]
+    for other in cli._COMMANDS[command][1]:
+        if other.default is cli._REQUIRED and other is not option:
+            argv += [cli._flag(other), REQUIRED_FLAGS[other.name]]
+    code, out, err = run_cli(argv, capsys, stdin="1\n2\n3\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err.startswith(f"error: {cli._flag(option)}: ")
 
 
 class TestEstimateAlpha:
@@ -283,6 +331,14 @@ class TestLLNDemo:
         )
         assert code == 2
 
+    def test_no_theory_slope_beyond_alpha_two(self, capsys):
+        code, out, _ = run_cli(
+            ["lln-demo", "--dist", "pareto:alpha=3", "--seed", "1",
+             "--ns", "100,1000", "--replications", "5"],
+            capsys,
+        )
+        assert code == 0 and out.endswith(",\n")
+
 
 class TestCheckConditions:
     def test_default_range_is_the_library_default(self, capsys):
@@ -290,6 +346,12 @@ class TestCheckConditions:
         code, out, _ = run_cli(["check-conditions", "--dist", PARETO], capsys)
         assert code == 0
         assert "over [2, 51]" in json.loads(out)["notes"]
+
+    def test_vanishing_density_exit_code(self, capsys):
+        code, out, err = run_cli(
+            ["check-conditions", "--dist", "half_normal:sigma=1", "--probe-hi", "100"], capsys
+        )
+        assert code == 2 and out == "" and "density vanishes" in err
 
     def test_flag_replaces_only_its_own_end(self, capsys):
         _, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--probe-lo", "3"], capsys)
