@@ -14,7 +14,6 @@ function of ``(family, count, seed)``.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import CapabilityError, ParameterDomainError, check_int, check_real
 from .records import _fmt
@@ -88,10 +87,11 @@ class TailFamily:
 
     def sample(self, count, seed):
         """Draw `count` i.i.d. signed values, deterministic in `seed`."""
-        return self.sample_with(substream(seed), check_int(count, "count", 1))
+        return self.sample_with(substream(seed), count)
 
     def sample_with(self, rng, count):
         """Draw `count` values from an already-constructed generator."""
+        count = check_int(count, "count", 1)
         if self._sampler is not None:
             return self._sampler(rng, count)
         return self._require("_quantile", "sampler")(rng.random(count))
@@ -203,6 +203,8 @@ def make_exponential(rate=1.0):
 
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
+    from scipy import special  # here, so the other families skip its import
+
     s = check_real(sigma, "sigma", 0, np.inf)
     c = np.sqrt(2.0 / np.pi) / s
 

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyError, SingularityError, check_int, check_real
 from .intervals import wilson_interval
@@ -68,6 +67,8 @@ def limit_probability(kappa, alpha):
 
 
 def _quad(func, a, b, epsabs, epsrel, limit, points=None):
+    from scipy import integrate  # here, so commands that never integrate skip its import
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(

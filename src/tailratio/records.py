@@ -9,6 +9,9 @@ floats round-trip losslessly.
 import io
 import json
 import sys
+import warnings
+
+import numpy as np
 
 
 def _fmt(value):
@@ -111,17 +114,33 @@ def rows_to_csv(header, rows):
 def read_values(path=None):
     """Read newline-delimited numbers from a file path or standard input.
 
-    Blank lines and lines starting with '#' are ignored.
+    '#' starts a comment anywhere on a line; blank lines are ignored.  Returns
+    a 1-D float64 array.  numpy's C parser reads the input; a line it refuses
+    goes through float() line by line, which names the line it cannot read
+    and accepts the ``1_000`` syntax that float() takes.
     """
     if path is None or path == "-":
         text = sys.stdin.read()
+        source = io.StringIO(text)
     else:
+        text, source = None, path
+    try:
+        with warnings.catch_warnings():
+            # no data is no error here: callers report too few values
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(source, comments="#", ndmin=2, encoding="utf-8")
+        # ndmin=2, so that an input of one line "1 2" is a (1, 2) row, not two values
+        if table.shape[1] == 1:
+            return table[:, 0]
+    except ValueError:
+        pass
+    if text is None:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         try:
             values.append(float(stripped))
@@ -129,4 +148,4 @@ def read_values(path=None):
             raise ValueError(
                 f"line {lineno}: not a number: {stripped!r}"
             ) from None
-    return values
+    return np.array(values, dtype=float)

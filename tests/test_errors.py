@@ -27,6 +27,7 @@ COUNTS = {
     "block_size": lambda v: tr.block_event_frequency(DATA, v, 0.5),
     "estimate block_size": lambda v: tr.estimate_alpha_from_data(DATA, v, 0.5),
     "count": lambda v: PARETO.sample(v, 1),
+    "sample_with count": lambda v: PARETO.sample_with(substream(1), v),
     "sample seed": lambda v: PARETO.sample(3, v),
     "substream seed": lambda v: substream(v),
     "total": lambda v: tr.running_mean_trajectory(PARETO, v, [1, 3], 1),
