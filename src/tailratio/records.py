@@ -120,25 +120,29 @@ def read_values(path=None):
     and accepts the ``1_000`` syntax that float() takes.
     """
     if path is None or path == "-":
-        text = sys.stdin.read()
-        source = io.StringIO(text)
+        data = sys.stdin.read().encode("utf-8")
     else:
-        text, source = None, path
+        # the builtin open: numpy given a path would also fetch URLs and
+        # read a compressed sibling of a missing file
+        with open(path, "rb") as fh:
+            data = fh.read()
+
+    def lines():
+        # the input is read once, so a pipe can be parsed twice
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
     try:
         with warnings.catch_warnings():
             # no data is no error here: callers report too few values
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(source, comments="#", ndmin=2, encoding="utf-8")
+            table = np.loadtxt(lines(), comments="#", ndmin=2)
         # ndmin=2, so that an input of one line "1 2" is a (1, 2) row, not two values
         if table.shape[1] == 1:
             return table[:, 0]
     except ValueError:
         pass
-    if text is None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines(), start=1):
         stripped = line.partition("#")[0].strip()
         if not stripped:
             continue

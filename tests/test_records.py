@@ -1,7 +1,10 @@
 """Data ingestion: read_values on files and on standard input."""
 
+import gzip
 import io
+import os
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -60,6 +63,12 @@ def test_two_numbers_on_a_line_refused(read, text, lineno):
         read(text)
 
 
+def test_line_number_counts_only_line_ends(read):
+    # a form feed is whitespace on its line, not a line break
+    with pytest.raises(ValueError, match=r"^line 2: not a number: 'x'$"):
+        read("1\n\fx\n")
+
+
 def test_underscore_digits_parse(read):
     assert read("1_000\n2\n").tolist() == [1000.0, 2.0]
 
@@ -108,3 +117,38 @@ def test_missing_file_exits_2_naming_it(tmp_path, capsys):
     path = str(tmp_path / "absent.txt")
     assert main(["detect", "--input", path]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_compressed_sibling_of_a_missing_file_not_read(tmp_path, capsys):
+    path = tmp_path / "absent.txt"
+    with gzip.open(str(path) + ".gz", "wt") as fh:
+        fh.write("1\n2\n3\n")
+    assert main(["detect", "--input", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "text,expected",
+    [("1_000\n2\n", [1000.0, 2.0]), ("1\nabc\n", "line 2: not a number: 'abc'")],
+    ids=["underscore", "bad-line"],
+)
+def test_pipe_read_once_for_both_parsers(tmp_path, text, expected):
+    # a line numpy refuses is parsed again from what was read, not from the pipe
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                read_values(str(fifo))
+        else:
+            assert read_values(str(fifo)).tolist() == expected
+    finally:
+        writer.join()
