@@ -65,12 +65,21 @@ _GAUSS_NODES = tuple(zip(_WG, _WGK[1::2], _XGK[1::2]))
 _KRONROD_NODES = tuple(zip(_WGK[0:10:2], _XGK[0:10:2]))
 
 
+# QUADPACK's flag `ier`, indexed by its value
+IER_REASONS = (
+    "converged",
+    "limit subintervals used",
+    "round-off",  # round-off stopped the tolerance being met
+    "bad integrand behaviour",
+    "extrapolation did not converge",
+    "integral probably divergent",
+)
+
+
 class QuadResult(NamedTuple):
     """What QUADPACK returns: the integral, its error bound and the work done.
 
-    `ier` is QUADPACK's flag: 0 converged, 1 `limit` subintervals used,
-    2 round-off stopped the tolerance being met, 3 bad integrand behaviour,
-    4 the extrapolation did not converge, 5 the integral probably diverges.
+    `ier` is QUADPACK's flag, explained by IER_REASONS[ier].
     """
 
     value: float

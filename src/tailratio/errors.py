@@ -67,13 +67,15 @@ class SingularityError(TailRatioError, ZeroDivisionError):
 class AccuracyError(TailRatioError):
     """Quadrature failed to reach the requested tolerance.
 
-    Carries the best available estimate so callers can inspect it.
+    Carries the best available estimate so callers can inspect it, and
+    QUADPACK's flag `ier` saying why it stopped.
     """
 
-    def __init__(self, message, best_estimate=None, error_estimate=None):
+    def __init__(self, message, best_estimate=None, error_estimate=None, ier=None):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
+        self.ier = ier
 
 
 class DegenerateFrequencyError(TailRatioError):

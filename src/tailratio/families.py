@@ -28,13 +28,16 @@ class TailFamily:
     flag is then unset and the accessor raises :class:`CapabilityError`.
     Without a ``_sampler``, sampling is ``quantile`` of uniforms.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
-    Pareto, 0 otherwise).
+    Pareto, 0 otherwise).  ``mean`` is the closed-form mean of the sampled
+    values (for a symmetric law, its centre), or ``None`` where it is
+    infinite or not given.
     """
 
     name: str
     params: dict = field(default_factory=dict)
     tail_index: float | None = None
     support_lo: float = 0.0
+    mean: float | None = None
     _pdf: callable = None
     _cdf: callable = None
     _pdf_derivative: callable = None
@@ -137,6 +140,7 @@ def make_pareto(alpha, xm=1.0):
         params={"alpha": alpha, "xm": xm},
         tail_index=alpha,
         support_lo=xm,
+        mean=alpha * xm / (alpha - 1.0) if alpha > 1.0 else None,
         _pdf=pdf,
         _cdf=cdf,
         _pdf_derivative=pdf_derivative,
@@ -194,6 +198,7 @@ def make_exponential(rate=1.0):
     return TailFamily(
         name="exponential",
         params={"rate": r},
+        mean=1.0 / r,
         _pdf=pdf,
         _cdf=cdf,
         _pdf_derivative=pdf_derivative,
@@ -223,6 +228,7 @@ def make_half_normal(sigma=1.0):
     return TailFamily(
         name="half_normal",
         params={"sigma": s},
+        mean=float(s * np.sqrt(2.0 / np.pi)),
         _pdf=pdf,
         _cdf=cdf,
         _pdf_derivative=pdf_derivative,
@@ -263,6 +269,7 @@ def make_symmetric_stable(alpha, scale=1.0):
         name="stable",
         params={"alpha": a, "scale": s},
         tail_index=a if a < 2.0 else None,
+        mean=0.0,  # the centre of symmetry: the mean whenever alpha > 1
         _sampler=sampler,
     )
 

@@ -5,7 +5,9 @@ like n**(1/alpha - 1) times a fixed stable variable, so the magnitude of
 the running mean grows when alpha < 1 (no law of large numbers: the top
 observation is too large to be compensated), stays put at alpha = 1, and
 shrinks when alpha > 1.  ``scaling_exponent_experiment`` measures that
-exponent as the log-log slope of the median |running mean| against n.
+exponent as the log-log slope of the median |running mean - mean| against
+n; a regularly varying tail with 1 < alpha < 2, such as Pareto, has the
+same exponent once its mean is taken off.
 """
 
 from dataclasses import dataclass
@@ -90,20 +92,24 @@ def scaling_exponent_experiment(family, ns, replications, seed):
 
     For each sample size in `ns`, draws `replications` independent samples
     (one derived substream per (size index, replication)), records the
-    median of |mean|, and least-squares fits log(median) against log(n).
-    The median, not the mean, is taken across replications: |mean| has no
+    median of |mean - mu|, where mu is the family's closed-form mean (0
+    when it has none), and least-squares fits log(median) against log(n).
+    Centring matters for the magnitude families: their mean is positive,
+    so the uncentred |mean| settles at it and the slope reads 0.  The
+    median, not the mean, is taken across replications: |mean| has no
     finite expectation when the tail index is at most 1.
     """
     ns = _increasing(ns, "ns", 2)
     replications = check_int(replications, "replications", 1)
     seed = check_seed(seed)
+    mu = 0.0 if family.mean is None else family.mean
 
     medians = []
     for i, n in enumerate(ns):
         abs_means = np.empty(replications)
         for r in range(replications):
             x = family.sample_with(substream(seed, i, r), n)
-            abs_means[r] = abs(x.mean())
+            abs_means[r] = abs(x.mean() - mu)
         medians.append(float(np.median(abs_means)))
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     return ScalingResult(

@@ -86,11 +86,11 @@ def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000
     density p and a quantile Q; without either, :class:`CapabilityError`
     is raised on first use.
 
-    Raises :class:`AccuracyError` (carrying the best estimate) if the
-    quadrature error bound exceeds the requested tolerance.
+    Raises :class:`AccuracyError` (carrying the best estimate and QUADPACK's
+    `ier`) if the quadrature error bound exceeds the requested tolerance.
     """
     # here, so commands that never integrate skip loading the quadrature module
-    from ._quadpack import quad
+    from ._quadpack import IER_REASONS, quad
 
     n = check_int(n, "n", 2)
     kappa = check_kappa(kappa)
@@ -111,9 +111,11 @@ def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000
     tol = max(epsabs, epsrel * abs(value))
     if err > tol:
         raise AccuracyError(
-            f"quadrature error bound {err:.3e} exceeds tolerance {tol:.3e}",
+            f"quadrature stopped with ier {q.ier}: {IER_REASONS[q.ier]}; "
+            f"error bound {err:.3e} exceeds tolerance {tol:.3e}",
             best_estimate=value,
             error_estimate=err,
+            ier=q.ier,
         )
     return ProbabilityResult(
         value=float(min(max(value, 0.0), 1.0)),

@@ -132,6 +132,16 @@ class TestProbability:
             code, out, _ = run_cli(argv, capsys)
             assert code == 3 and out == ""
 
+    def test_accuracy_failure_names_its_reason(self, capsys):
+        # the integral itself is still out of reach at n = 1e9, kappa = 0.9
+        code, out, err = run_cli(
+            ["prob-exact", "--dist", "half_normal:sigma=1", "--n", "1000000000",
+             "--kappa", "0.9"],
+            capsys,
+        )
+        assert code == 5 and out == ""
+        assert "ier 2: round-off" in err
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, _ = run_cli(
             ["prob-exact", "--dist", "weibull:k=1", "--n", "10"], capsys

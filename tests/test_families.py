@@ -118,6 +118,10 @@ class TestSymmetricStable:
         assert x.var() == pytest.approx(2.0, rel=0.05)
         assert fam.tail_index is None
 
+    def test_centred_at_zero(self):
+        for alpha in (0.6, 1.0, 1.5, 2.0):
+            assert tr.make_symmetric_stable(alpha, 3.0).mean == 0.0
+
     def test_sampler_only(self):
         fam = tr.make_symmetric_stable(0.6, 1.0)
         assert fam.has_sampler and not fam.has_cdf and not fam.has_pdf
@@ -214,6 +218,14 @@ class TestFullCapabilityInvariants:
         h = 1e-6
         fd = (fam.pdf(xs + h) - fam.pdf(xs - h)) / (2.0 * h)
         assert np.allclose(fd, fam.pdf_derivative(xs), rtol=1e-4, atol=1e-7)
+
+    def test_mean_is_the_integral_of_the_quantile(self, fam):
+        if fam.mean is None:
+            # only a tail index of at most 1 makes the mean infinite
+            assert fam.tail_index is not None and fam.tail_index <= 1.0
+            return
+        mean, _ = integrate.quad(lambda u: float(fam.quantile(u)), 0.0, 1.0, limit=200)
+        assert fam.mean == pytest.approx(mean, rel=1e-8)
 
     def test_kolmogorov_distance(self, fam):
         x = np.sort(np.abs(fam.sample(10**5, 2024)))

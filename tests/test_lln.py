@@ -85,6 +85,14 @@ class TestScalingExperiment:
         )
         assert res.slope == pytest.approx(-0.5, abs=0.1)
 
+    def test_pareto_slope_centred_by_the_mean(self):
+        # magnitudes have mean 3; uncentred, |mean| settles there and the
+        # slope reads about 0 instead of 1/alpha - 1
+        res = tr.scaling_exponent_experiment(
+            tr.make_pareto(1.5, 1.0), [10**3, 10**4, 10**5], 200, seed=3
+        )
+        assert res.slope == pytest.approx(-1.0 / 3.0, abs=0.1)
+
     def test_bad_ns(self):
         fam = tr.make_symmetric_stable(1.0, 1.0)
         for ns in ([100], [100, 50], [0, 10]):

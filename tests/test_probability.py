@@ -103,6 +103,13 @@ class TestExactProbability:
             tr.exact_probability(fam, 50, 0.5, epsabs=1e-300, epsrel=1e-300)
         assert exc.value.best_estimate is not None
 
+    def test_accuracy_error_carries_ier(self):
+        fam = tr.make_half_normal(1.0)
+        with pytest.raises(AccuracyError) as exc:
+            tr.exact_probability(fam, 10**9, 0.9)
+        assert exc.value.ier == 2
+        assert "quadrature stopped with ier 2: round-off;" in str(exc.value)
+
 
 class TestMonteCarlo:
     def test_pareto_within_band(self):
