@@ -1,12 +1,11 @@
-"""QUADPACK's adaptive quadrature QAGS and QAGP, ported to Python.
+"""QUADPACK's adaptive quadrature QAGS, ported to Python.
 
-``quad`` runs ``dqagse`` (QAGS), or ``dqagpe`` (QAGP) when it is given
-break points, from R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber
-and D. K. Kahaner, *QUADPACK* (Springer, 1983).  Both bisect the
-subinterval with the largest error estimate, integrate each half with the
-21-point Gauss-Kronrod rule (``dqk21``), keep the error list ordered
-(``dqpsrt``) and accelerate the sequence of area estimates with Wynn's
-epsilon algorithm (``dqelg``).
+``quad`` runs ``dqagse`` (QAGS) from R. Piessens, E. de Doncker-Kapenga,
+C. W. Ueberhuber and D. K. Kahaner, *QUADPACK* (Springer, 1983).  It
+bisects the subinterval with the largest error estimate, integrates each
+half with the 21-point Gauss-Kronrod rule (``dqk21``), keeps the error
+list ordered (``dqpsrt``) and accelerates the sequence of area estimates
+with Wynn's epsilon algorithm (``dqelg``).
 
 The floating-point operations are those of the Fortran, in its order, so a
 result equals that of SciPy's ``quad`` with ``full_output=1`` bit for bit:
@@ -266,20 +265,20 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, abserr, nres
 
 
-def _check(epsabs, epsrel, limit):
+def _qags(f, a, b, epsabs, epsrel, limit):
+    """dqagse: integrate f over [a, b], a <= b, to max(epsabs, epsrel*|I|).
+
+    Bisects the subinterval of largest error until the summed error meets
+    the tolerance or `limit` subintervals are used.  The intervals not wider
+    than `small` form the finest scale; once their errors dominate, the
+    sequence of areas is extrapolated and `small` halved.  Returns a
+    QuadResult.
+    """
     # QUADPACK's ier = 6, which SciPy's quad raises as ValueError
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
         raise ValueError(f"tolerance epsabs={epsabs}, epsrel={epsrel} cannot be met")
-
-
-def _qags(f, a, b, epsabs, epsrel, limit):
-    """dqagse: integrate f over [a, b] to max(epsabs, epsrel*|I|).
-
-    At most `limit` subintervals are used; returns a QuadResult.
-    """
-    _check(epsabs, epsrel, limit)
     result, abserr, defabs, resasc = _qk21(f, a, b)
     errbnd = max(epsabs, epsrel * abs(result))
     ier = 0
@@ -289,121 +288,35 @@ def _qags(f, a, b, epsabs, epsrel, limit):
         ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
         return QuadResult(result, abserr, 21, ier, 1)
-    return _subdivide(f, [a, b], [result], [abserr], [1], result, abserr, defabs, errbnd,
-                      epsabs, epsrel, limit, qagp=False)
 
-
-def _qagp(f, a, b, points, epsabs, epsrel, limit):
-    """dqagpe: integrate f over [a, b] with break points `points` inside it.
-
-    `points` are distinct, ascending and strictly inside (a, b); they split
-    [a, b] into the first subintervals.  At most `limit` subintervals are
-    used.  Returns a QuadResult.
-    """
-    _check(epsabs, epsrel, limit)
-    npts = len(points)
-    if limit <= npts:
-        raise ValueError(f"limit {limit} leaves no room for {npts} break points")
-    pts = [a, *points, b]
-    nint = npts + 1
-    result = abserr = resabs = 0.0
-    areas, errors, whole = [], [], []
-    for a1, b1 in zip(pts, pts[1:]):
-        area1, error1, defabs, resa = _qk21(f, a1, b1)
-        abserr = abserr + error1
-        result = result + area1
-        resabs = resabs + defabs
-        areas.append(area1)
-        errors.append(error1)
-        # the error estimate is the whole integral of |f - mean|
-        whole.append(error1 == resa and error1 != 0.0)
-    errsum = 0.0
-    for i in range(nint):
-        if whole[i]:
-            errors[i] = abserr
-        errsum = errsum + errors[i]
-    errbnd = max(epsabs, epsrel * abs(result))
-    ier = 0
-    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
-        ier = 2
-    order = list(range(1, nint + 1))  # interval numbers, largest error first
-    if nint != 1:
-        for i in range(npts):  # a selection sort
-            ind1 = order[i]
-            k = i
-            for j in range(i + 1, nint):
-                ind2 = order[j]
-                if not errors[ind1 - 1] > errors[ind2 - 1]:
-                    ind1 = ind2
-                    k = j
-            if ind1 != order[i]:
-                order[k] = order[i]
-                order[i] = ind1
-        if limit < npts + 2:
-            ier = 1
-    if ier != 0 or abserr <= errbnd:
-        return QuadResult(result, abserr, 21 * nint, ier, nint)
-    return _subdivide(f, pts, areas, errors, order, result, errsum, resabs, errbnd,
-                      epsabs, epsrel, limit, qagp=True)
-
-
-def _subdivide(f, pts, areas, errors, order, result, errsum, defabs, errbnd,
-               epsabs, epsrel, limit, qagp):
-    """The main loop of dqagse and of dqagpe (`qagp`), from the intervals of `pts`.
-
-    `areas` and `errors` are those of the intervals; `order` numbers them
-    from 1, largest error first.  Both routines bisect the interval of
-    largest error until the summed error meets the tolerance.  They differ
-    in how they tell the intervals of the finest scale, whose errors
-    trigger an extrapolation: dqagse by width (not above `small`, halved
-    after each extrapolation), dqagpe by bisection level (levmax, raised
-    after each).  dqagse also starts extrapolating a step later and stops
-    on abserr <= ertest where dqagpe needs <.
-    """
-    nint = len(areas)
-    size = limit + 1
-    alist = [0.0] * size  # interval i is [alist[i], blist[i]], with integral rlist[i]
-    blist = [0.0] * size
-    rlist = [0.0] * size
-    elist = [0.0] * size  # and error estimate elist[i]
-    iord = [0] * size  # interval numbers by error estimate, largest first
-    level = [0] * size  # dqagpe: how often each interval was halved
-    alist[1 : nint + 1] = pts[:-1]
-    blist[1 : nint + 1] = pts[1:]
-    rlist[1 : nint + 1] = areas
-    elist[1 : nint + 1] = errors
-    iord[1 : nint + 1] = order
-    small = abs(pts[-1] - pts[0]) * 0.375
+    unset = [0.0] * (limit - 1)
+    alist = [0.0, a, *unset]  # interval i is [alist[i], blist[i]], with integral rlist[i]
+    blist = [0.0, b, *unset]
+    rlist = [0.0, result, *unset]
+    elist = [0.0, abserr, *unset]  # and error estimate elist[i]
+    iord = [0, 1, *[0] * (limit - 1)]  # interval numbers by error estimate, largest first
+    small = abs(b - a) * 0.375
     rlist2 = [0.0] * 53  # the epsilon table, 52 entries
     res3la = [0.0] * 4
     rlist2[1] = result
-    maxerr = iord[1]
-    errmax = elist[maxerr]
+    maxerr = 1
+    errmax = abserr
     area = result
+    errsum = abserr
     abserr = _OFLOW
     nrmax = 1
     nres = 0
-    numrl2 = 1 if qagp else 2
+    numrl2 = 2
     ktmin = 0
     extrap = False
     noext = False
-    erlarg = errsum
-    ertest = errbnd
-    levmax = 1
     iroff1 = iroff2 = iroff3 = 0
-    ier = ierro = 0
+    ierro = 0
     correc = 0.0
     ksgn = 1 if abs(result) >= (1.0 - 50.0 * _EPMACH) * defabs else -1
 
-    def coarse(i):
-        """Whether interval i is larger than the finest scale."""
-        if qagp:
-            return level[i] + 1 <= levmax
-        return abs(blist[i] - alist[i]) > small
-
     summed = False
-    last = nint
-    for last in range(nint + 1, limit + 1):
+    for last in range(2, limit + 1):
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
@@ -423,10 +336,6 @@ def _subdivide(f, pts, areas, errors, order, result, errsum, defabs, errbnd,
                     iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        if qagp:
-            levcur = level[maxerr] + 1
-            level[maxerr] = levcur
-            level[last] = levcur
         rlist[maxerr] = area1
         rlist[last] = area2
         errbnd = max(epsabs, epsrel * abs(area))
@@ -459,69 +368,64 @@ def _subdivide(f, pts, areas, errors, order, result, errsum, defabs, errbnd,
             break
         if ier != 0:
             break
-        if not qagp and last == 2:  # dqagse label 80
-            erlarg = errsum
+        if last == 2:  # label 80
+            erlarg = errsum  # the summed error of the intervals wider than small
             ertest = errbnd
             rlist2[2] = area
             continue
         if noext:
             continue
-        # erlarg sums the errors of the intervals coarser than the finest scale
         erlarg = erlarg - erlast
-        if (levcur + 1 <= levmax) if qagp else (abs(b1 - a1) > small):  # new halves coarse
+        if abs(b1 - a1) > small:
             erlarg = erlarg + erro12
         if not extrap:
-            if coarse(maxerr):
+            if abs(blist[maxerr] - alist[maxerr]) > small:
                 continue
             extrap = True
             nrmax = 2
         if not (ierro == 3 or erlarg <= ertest):
-            # bisect the coarse intervals first while their errors dominate
+            # bisect the wide intervals first while their errors dominate
             jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
-            coarse_next = False
+            wide_next = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
                 errmax = elist[maxerr]
-                if coarse(maxerr):
-                    coarse_next = True
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    wide_next = True
                     break
                 nrmax += 1
-            if coarse_next:
+            if wide_next:
                 continue
         numrl2 += 1  # extrapolate
         rlist2[numrl2] = area
-        if not qagp or numrl2 > 2:
-            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-            ktmin += 1
-            if ktmin > 5 and abserr < 1e-3 * errsum:
-                ier = 5
-            if not abseps >= abserr:
-                ktmin = 0
-                abserr = abseps
-                result = reseps
-                correc = erlarg
-                ertest = max(epsabs, epsrel * abs(reseps))
-                if abserr < ertest or (not qagp and abserr == ertest):
-                    break
-            if numrl2 == 1:
-                noext = True
-            if ier == 5:
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if not abseps >= abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
                 break
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
         # bisect the largest error again, now down to a finer scale
         maxerr = iord[1]
         errmax = elist[maxerr]
         nrmax = 1
         extrap = False
-        if qagp:
-            levmax += 1
-        else:
-            small = small * 0.5
+        small = small * 0.5
         erlarg = errsum
 
-    neval = 42 * last - 21 * nint
+    neval = 42 * last - 21
     if not summed and (abserr == _OFLOW or ier + ierro != 0):
-        # dqagse label 100: keep the extrapolation unless the plain sum of
-        # the areas has the smaller relative error
+        # label 100: keep the extrapolation unless the plain sum of the
+        # areas has the smaller relative error
         summed = abserr == _OFLOW
         if not summed:
             if ierro == 3:
@@ -547,16 +451,11 @@ def _subdivide(f, pts, areas, errors, order, result, errsum, defabs, errbnd,
     return QuadResult(result, abserr, neval, ier - 1 if ier > 2 else ier, last)
 
 
-def quad(f, a, b, epsabs, epsrel, limit, points=None):
-    """QAGS on [a, b], or QAGP when `points` is given, as SciPy's quad calls them.
+def quad(f, a, b, epsabs, epsrel, limit):
+    """QAGS on [a, b], as SciPy's quad calls it.
 
-    Like SciPy, b < a integrates over [b, a] and negates the value, and only
-    the distinct points strictly inside the interval are kept.
+    Like SciPy, b < a integrates over [b, a] and negates the value.
     """
     flip, a, b = b < a, min(a, b), max(a, b)
-    if points is None:
-        result = _qags(f, a, b, epsabs, epsrel, limit)
-    else:
-        inside = sorted({float(p) for p in points if a < p < b})
-        result = _qagp(f, a, b, inside, epsabs, epsrel, limit)
+    result = _qags(f, a, b, epsabs, epsrel, limit)
     return result._replace(value=-result.value) if flip else result

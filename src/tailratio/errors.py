@@ -65,7 +65,7 @@ class SingularityError(TailRatioError, ZeroDivisionError):
 
 
 class AccuracyError(TailRatioError):
-    """Quadrature failed to reach the requested tolerance.
+    """Quadrature stopped with a QUADPACK failure flag or short of its tolerance.
 
     Carries the best available estimate so callers can inspect it, and
     QUADPACK's flag `ier` saying why it stopped.

@@ -2,8 +2,8 @@
 
 Each family describes the law of a magnitude ``|X|`` on ``[0, inf)`` through
 whatever closed forms it admits (density, CDF, density derivative, quantile)
-plus a reproducible sampler.  A family with a quantile samples ``|X|`` by
-inverse transform unless it supplies its own sampler for the signed ``X``.
+plus a reproducible sampler.  Every family but ``stable`` (the signed ``X``)
+samples ``|X|``, by inverse transform unless it has a sampler of its own.
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
@@ -89,7 +89,7 @@ class TailFamily:
         return self._require("_quantile", "quantile")(np.asarray(u, dtype=float))
 
     def sample(self, count, seed):
-        """Draw `count` i.i.d. signed values, deterministic in `seed`."""
+        """Draw `count` i.i.d. magnitudes (``stable``: signed values), deterministic in `seed`."""
         return self.sample_with(substream(seed), count)
 
     def sample_with(self, rng, count):

@@ -12,11 +12,13 @@ i.i.d. sample of size n.  Four routes are provided:
 * ``joint_oracle_probability`` -- small-n double quadrature of the joint
   density n*(n-1)*F**(n-2)(x)*p(x)*p(y) of the top two order statistics
   over {x <= kappa*y}, an independent derivation path used to validate
-  the single-integral reduction (QAGP outside, with the point where the
-  inner integral switches on as a break point, and QAGS inside).
+  the single-integral reduction (QAGS inside and outside, the outer
+  integral starting where the inner one switches on).
 
 Both quadrature routes report their work: ``neval`` integrand evaluations
-over ``intervals`` subintervals.
+over ``intervals`` subintervals.  Each integral they take must converge
+(QUADPACK's ``ier`` 0) within max(epsabs, epsrel * |value|) of the
+module's tolerances, or the route raises :class:`AccuracyError`.
 
 ``check_theorem_conditions`` numerically probes the side conditions under
 which the finite-n probability converges to kappa**alpha: the boundary
@@ -38,6 +40,12 @@ from .rng import check_seed, substream
 # clipping u at the last float below 1 keeps quantile() finite; the
 # integrand is continuous there so the value change is below roundoff
 _U_MAX = 1.0 - 1e-16
+
+# QUADPACK's (epsabs, epsrel, limit) for exact_probability's integral and
+# for the oracle's outer integral; its inner integrals take epsabs / 100,
+# epsrel / 10 and 200
+_EXACT_EPSABS, _EXACT_EPSREL, _EXACT_LIMIT = 1e-10, 1e-8, 1000
+_ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT = 1e-9, 1e-9, 500
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,22 @@ def limit_probability(kappa, alpha):
     return kappa ** check_real(alpha, "alpha", 0, np.inf, "(]")
 
 
-def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000):
+def _shortfall(q, epsabs, epsrel):
+    """How QUADPACK's result q misses its tolerance, or "" if it does not.
+
+    q misses when QUADPACK flags a failure (ier != 0) or its error bound
+    exceeds max(epsabs, epsrel * |value|).
+    """
+    tol = max(epsabs, epsrel * abs(q.value))
+    if q.ier == 0 and q.abserr <= tol:
+        return ""
+    from ._quadpack import IER_REASONS
+
+    return (f"stopped with ier {q.ier}: {IER_REASONS[q.ier]}; "
+            f"error bound {q.abserr:.3e}, tolerance {tol:.3e}")
+
+
+def exact_probability(family, n, kappa):
     """Finite-n outlier probability by adaptive quadrature.
 
     The integral is rewritten with u = F(kappa*y) followed by w = u**n,
@@ -87,10 +110,10 @@ def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000
     is raised on first use.
 
     Raises :class:`AccuracyError` (carrying the best estimate and QUADPACK's
-    `ier`) if the quadrature error bound exceeds the requested tolerance.
+    `ier`) if the quadrature misses its tolerance.
     """
     # here, so commands that never integrate skip loading the quadrature module
-    from ._quadpack import IER_REASONS, quad
+    from ._quadpack import quad
 
     n = check_int(n, "n", 2)
     kappa = check_kappa(kappa)
@@ -106,16 +129,11 @@ def exact_probability(family, n, kappa, *, epsabs=1e-10, epsrel=1e-8, limit=1000
             return 0.0
         return float(family.pdf(x / kappa)) / den
 
-    q = quad(integrand, 0.0, 1.0, epsabs, epsrel, limit)
+    q = quad(integrand, 0.0, 1.0, _EXACT_EPSABS, _EXACT_EPSREL, _EXACT_LIMIT)
     value, err = q.value, q.abserr
-    tol = max(epsabs, epsrel * abs(value))
-    if err > tol:
+    if reason := _shortfall(q, _EXACT_EPSABS, _EXACT_EPSREL):
         raise AccuracyError(
-            f"quadrature stopped with ier {q.ier}: {IER_REASONS[q.ier]}; "
-            f"error bound {err:.3e} exceeds tolerance {tol:.3e}",
-            best_estimate=value,
-            error_estimate=err,
-            ier=q.ier,
+            f"quadrature {reason}", best_estimate=value, error_estimate=err, ier=q.ier
         )
     return ProbabilityResult(
         value=float(min(max(value, 0.0), 1.0)),
@@ -161,7 +179,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     )
 
 
-def joint_oracle_probability(family, n, kappa, *, epsabs=1e-9, epsrel=1e-9):
+def joint_oracle_probability(family, n, kappa):
     """Small-n probability from the joint density of the top two magnitudes.
 
     Double quadrature of n*(n-1)*F**(n-2)(x)*p(x)*p(y) over the region
@@ -169,42 +187,49 @@ def joint_oracle_probability(family, n, kappa, *, epsabs=1e-9, epsrel=1e-9):
     single-integral reduction, so agreement with :func:`exact_probability`
     validates that reduction.  Restricted to n in {2, ..., 8} where the
     powers of F cause no conditioning trouble.
+
+    Raises :class:`AccuracyError` (carrying the oracle's best estimate and
+    the `ier` of the first integral to fail) if any integral misses its
+    tolerance.
     """
     from ._quadpack import quad
 
     n = check_int(n, "n", 2, 8)
     kappa = check_kappa(kappa)
     lo = family.support_lo
-    inner_eps = epsabs / 100.0
+    inner_eps, inner_rel = _ORACLE_EPSABS / 100.0, _ORACLE_EPSREL / 10.0
     inner_work = [0, 0]  # evaluations and subintervals of every inner integral
+    failures = []  # (ier, message) of every integral that missed its tolerance
+
+    def density(x):  # the joint density without its factor n*(n-1)*p(y)
+        return float(family.cdf(x)) ** (n - 2) * float(family.pdf(x))
 
     def inner(y):
         hi = kappa * y
         if hi <= lo:
             return 0.0
-        q = quad(
-            lambda x: float(family.cdf(x)) ** (n - 2) * float(family.pdf(x)),
-            lo,
-            hi,
-            inner_eps,
-            epsrel / 10.0,
-            200,
-        )
+        q = quad(density, lo, hi, inner_eps, inner_rel, 200)
         inner_work[0] += q.neval
         inner_work[1] += q.last
+        if reason := _shortfall(q, inner_eps, inner_rel):
+            failures.append((q.ier, f"inner quadrature over [{lo:g}, {hi:g}] {reason}"))
         return q.value
 
     def outer(t):
         y = lo + t / (1.0 - t)
         return float(family.pdf(y)) * inner(y) / (1.0 - t) ** 2
 
-    # inner integral switches on at y = lo/kappa; hand quad the breakpoint
+    # the inner integral is empty until y = lo/kappa: start the outer one there
     y_on = lo / kappa - lo
-    points = [y_on / (1.0 + y_on)] if y_on > 0.0 else None
-    q = quad(outer, 0.0, 1.0, epsabs, epsrel, 500, points=points)
+    q = quad(outer, y_on / (1.0 + y_on), 1.0, _ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT)
+    if reason := _shortfall(q, _ORACLE_EPSABS, _ORACLE_EPSREL):
+        failures.append((q.ier, f"outer quadrature {reason}"))
     coeff = n * (n - 1)
     value = coeff * q.value
     err_total = coeff * (q.abserr + inner_eps)
+    if failures:
+        ier, message = failures[0]
+        raise AccuracyError(message, best_estimate=value, error_estimate=err_total, ier=ier)
     return ProbabilityResult(
         value=float(min(max(value, 0.0), 1.0)),
         method="joint_oracle",

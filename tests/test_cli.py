@@ -142,6 +142,14 @@ class TestProbability:
         assert code == 5 and out == ""
         assert "ier 2: round-off" in err
 
+    def test_oracle_accuracy_failure_exit_code(self, capsys):
+        code, out, err = run_cli(
+            ["prob-oracle", "--dist", "pareto:alpha=0.3", "--n", "8", "--kappa", "0.5"],
+            capsys,
+        )
+        assert code == 5 and out == ""
+        assert "ier 5: integral probably divergent" in err
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, _ = run_cli(
             ["prob-exact", "--dist", "weibull:k=1", "--n", "10"], capsys

@@ -96,17 +96,12 @@ class TestExactProbability:
         with pytest.raises(ParameterDomainError):
             tr.exact_probability(fam, 10, 1.0)
 
-    def test_accuracy_error_carries_estimate(self):
-        # an impossible tolerance must fail loudly, not silently degrade
-        fam = tr.make_half_cauchy(1.0)
-        with pytest.raises(AccuracyError) as exc:
-            tr.exact_probability(fam, 50, 0.5, epsabs=1e-300, epsrel=1e-300)
-        assert exc.value.best_estimate is not None
-
     def test_accuracy_error_carries_ier(self):
+        # a tolerance out of reach must fail loudly, not silently degrade
         fam = tr.make_half_normal(1.0)
         with pytest.raises(AccuracyError) as exc:
             tr.exact_probability(fam, 10**9, 0.9)
+        assert exc.value.best_estimate is not None
         assert exc.value.ier == 2
         assert "quadrature stopped with ier 2: round-off;" in str(exc.value)
 
@@ -161,6 +156,22 @@ class TestJointOracle:
         exact = tr.exact_probability(fam, n, kappa)
         tol = oracle.error_estimate + exact.error_estimate + 1e-8
         assert abs(oracle.value - exact.value) < tol
+
+    def test_pareto_bits(self):
+        # the outer integral starts at y = xm/kappa, where the inner one switches on
+        r = tr.joint_oracle_probability(tr.make_pareto(1.5), 3, 0.5)
+        assert r.value.hex() == "0x1.6a09e667f3bccp-2"
+        assert r.error_estimate.hex() == "0x1.08608e91b0b70p-34"
+        assert (r.neval, r.intervals) == (35616, 964)
+
+    def test_failed_integral_raises(self):
+        # the inner integrals give up (ier 5) although the error bound looks small
+        with pytest.raises(AccuracyError) as exc:
+            tr.joint_oracle_probability(tr.make_pareto(0.3), 8, 0.5)
+        assert exc.value.ier == 5
+        assert exc.value.best_estimate == 0.8122523111362424
+        assert "inner quadrature over [1, " in str(exc.value)
+        assert "stopped with ier 5: integral probably divergent;" in str(exc.value)
 
     @pytest.mark.parametrize("n", [1, 9, 100])
     def test_n_range(self, n):

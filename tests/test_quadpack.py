@@ -18,20 +18,19 @@ from tailratio._quadpack import quad
 from tailratio.errors import AccuracyError
 
 
-def _scipy(f, a, b, epsabs, epsrel, limit, points=None):
+def _scipy(f, a, b, epsabs, epsrel, limit):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr, info = integrate.quad(
-            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, points=points,
-            full_output=1,
+            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1
         )[:3]
     return value.hex(), abserr.hex(), info["neval"], info["last"]
 
 
-def assert_matches_scipy(f, a, b, epsabs, epsrel, limit, points=None):
-    port = quad(f, a, b, epsabs, epsrel, limit, points)
+def assert_matches_scipy(f, a, b, epsabs, epsrel, limit):
+    port = quad(f, a, b, epsabs, epsrel, limit)
     got = (port.value.hex(), port.abserr.hex(), port.neval, port.last)
-    assert got == _scipy(f, a, b, epsabs, epsrel, limit, points)
+    assert got == _scipy(f, a, b, epsabs, epsrel, limit)
     return port
 
 
@@ -40,8 +39,8 @@ def quad_calls(monkeypatch):
     """(arguments, result) of every quad call the probability module makes."""
     calls = []
 
-    def record(f, a, b, epsabs, epsrel, limit, points=None):
-        args = (f, a, b, epsabs, epsrel, limit, points)
+    def record(f, a, b, epsabs, epsrel, limit):
+        args = (f, a, b, epsabs, epsrel, limit)
         result = quad(*args)
         calls.append((args, result))
         return result
@@ -86,9 +85,10 @@ def test_joint_oracle_integrands(name, n, quad_calls):
     assert result.intervals == sum(q.last for _, q in quad_calls)
     # the outer integrand calls quad again when it is run below
     *inner, (outer, _) = list(quad_calls)
-    # Pareto's support starts at 1, so the inner integral switches on at
-    # y = 2 and the outer integral takes QAGP with that break point
-    assert (outer[6] is not None) == (name == "pareto")
+    # the outer integral gets no break points; Pareto's support starts at 1,
+    # so it starts where the inner integral switches on, y = 2 at t = 1/2
+    assert len(outer) == 6
+    assert outer[1:3] == ((0.5, 1.0) if name == "pareto" else (0.0, 1.0))
     assert_matches_scipy(*outer)
     for args, _ in inner[:: max(1, len(inner) // 10)]:
         assert_matches_scipy(*args)
@@ -99,39 +99,25 @@ def _off(c):
     return lambda x: 1.0 / abs(x - c) if x != c else 0.0
 
 
-# (integrand, a, b, epsabs, epsrel, limit, points, QUADPACK's ier)
+# (integrand, a, b, epsabs, epsrel, limit, QUADPACK's ier)
 BRANCHES = {
-    "smooth": (math.exp, 0.0, 1.0, 1.49e-8, 1.49e-8, 50, None, 0),
-    "reversed": (math.exp, 1.0, 0.0, 1.49e-8, 1.49e-8, 50, None, 0),
-    "one-interval": (math.sin, 0.0, 3.0, 1.49e-8, 1.49e-8, 1, None, 1),
+    "smooth": (math.exp, 0.0, 1.0, 1.49e-8, 1.49e-8, 50, 0),
+    "reversed": (math.exp, 1.0, 0.0, 1.49e-8, 1.49e-8, 50, 0),
+    "one-interval": (math.sin, 0.0, 3.0, 1.49e-8, 1.49e-8, 1, 1),
     "limit": (lambda x: math.cos(1000.0 * x) * math.exp(-x), 0.0, 10.0,
-              1.49e-8, 1.49e-8, 10, None, 1),
+              1.49e-8, 1.49e-8, 10, 1),
     # the singularity is integrable only through the epsilon extrapolation
     "extrapolated": (lambda x: x**-0.9 if x > 0.0 else 0.0, 0.0, 1.0,
-                     1.49e-8, 1.49e-8, 50, None, 0),
+                     1.49e-8, 1.49e-8, 50, 0),
     "log": (lambda x: math.log(x) if x > 0.0 else 0.0, 0.0, 1.0,
-            1.49e-8, 1.49e-8, 50, None, 0),
-    "round-off-first": (lambda x: math.cos(3.0 * x), 0.0, 1.0, 0.0, 1e-13, 50, None, 2),
-    "round-off": (lambda x: math.cos(30.0 * x), 0.0, 1.0, 0.0, 1e-13, 50, None, 2),
-    "bad-integrand": (_off(0.3), 0.0, 1.0, 1.49e-8, 1.49e-8, 1000, None, 3),
+            1.49e-8, 1.49e-8, 50, 0),
+    "round-off-first": (lambda x: math.cos(3.0 * x), 0.0, 1.0, 0.0, 1e-13, 50, 2),
+    "round-off": (lambda x: math.cos(30.0 * x), 0.0, 1.0, 0.0, 1e-13, 50, 2),
+    "bad-integrand": (_off(0.3), 0.0, 1.0, 1.49e-8, 1.49e-8, 1000, 3),
     "no-convergence": (lambda x: abs(x - math.pi / 10.0) ** -1.5 if x != math.pi / 10.0
-                       else 0.0, 0.0, 1.0, 1.49e-8, 1.49e-8, 1000, None, 4),
+                       else 0.0, 0.0, 1.0, 1.49e-8, 1.49e-8, 1000, 4),
     "divergent": (lambda x: 1.0 / (x - 0.3) if x != 0.3 else 0.0, 0.0, 1.0,
-                  1.49e-8, 1.49e-8, 1000, None, 5),
-    "kink-point": (lambda x: abs(x - 0.3), 0.0, 1.0, 1.49e-8, 1.49e-8, 50, [0.3], 0),
-    "two-points": (lambda x: abs(x - 0.2) ** -0.5 + abs(x - 0.7) ** -0.5
-                   if x not in (0.2, 0.7) else 0.0,
-                   0.0, 1.0, 1.49e-8, 1.49e-8, 50, [0.7, 0.2, 0.7], 0),
-    "points-outside": (lambda x: abs(x - 0.3), 0.0, 1.0, 1.49e-8, 1.49e-8, 50,
-                       [-1.0, 0.0, 5.0], 0),
-    "points-reversed": (lambda x: abs(x - 0.5), 1.0, 0.0, 1.49e-8, 1.49e-8, 50, [0.5], 0),
-    "points-limit": (lambda x: math.cos(1000.0 * x), 0.0, 1.0, 1.49e-8, 1.49e-8, 5,
-                     [0.5], 1),
-    "points-round-off": (lambda x: math.cos(30.0 * x), 0.0, 1.0, 0.0, 1e-13, 50,
-                         [0.4], 2),
-    "points-bad-integrand": (_off(0.3), 0.0, 1.0, 1.49e-8, 1.49e-8, 1000, [0.5], 3),
-    "points-divergent": (lambda x: 1.0 / (x - 0.3) if x != 0.3 else 0.0, 0.0, 1.0,
-                         1.49e-8, 1.49e-8, 1000, [0.5], 5),
+                  1.49e-8, 1.49e-8, 1000, 5),
 }
 
 
@@ -142,12 +128,10 @@ def test_branches(case):
 
 
 @pytest.mark.parametrize(
-    "epsabs,epsrel,limit,points",
-    [(0.0, 1e-20, 50, None), (1e-8, 1e-8, 0, None), (1e-8, 1e-8, 2, [0.25, 0.5])],
-    ids=["tolerance", "limit", "limit-below-points"],
+    "epsabs,epsrel,limit", [(0.0, 1e-20, 50), (1e-8, 1e-8, 0)], ids=["tolerance", "limit"]
 )
-def test_invalid_input_raises_as_scipy_does(epsabs, epsrel, limit, points):
+def test_invalid_input_raises_as_scipy_does(epsabs, epsrel, limit):
     with pytest.raises(ValueError):
-        _scipy(math.exp, 0.0, 1.0, epsabs, epsrel, limit, points)
+        _scipy(math.exp, 0.0, 1.0, epsabs, epsrel, limit)
     with pytest.raises(ValueError):
-        quad(math.exp, 0.0, 1.0, epsabs, epsrel, limit, points)
+        quad(math.exp, 0.0, 1.0, epsabs, epsrel, limit)
