@@ -96,6 +96,15 @@ class TestExactProbability:
         with pytest.raises(ParameterDomainError):
             tr.exact_probability(fam, 10, 1.0)
 
+    def test_accuracy_error_carries_estimate(self):
+        # a tolerance out of reach must fail loudly, not silently degrade
+        fam = tr.make_exponential(1.0)
+        with pytest.raises(AccuracyError) as exc:
+            tr.exact_probability(fam, 10**12, 0.99)
+        assert exc.value.best_estimate is not None
+        assert np.isfinite(exc.value.best_estimate)
+        assert exc.value.error_estimate > 0.0
+
     def test_accuracy_error_carries_ier(self):
         # a tolerance out of reach must fail loudly, not silently degrade
         fam = tr.make_half_normal(1.0)
