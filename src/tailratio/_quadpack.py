@@ -265,7 +265,7 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, abserr, nres
 
 
-def _qags(f, a, b, epsabs, epsrel, limit):
+def quad(f, a, b, epsabs, epsrel, limit):
     """dqagse: integrate f over [a, b], a <= b, to max(epsabs, epsrel*|I|).
 
     Bisects the subinterval of largest error until the summed error meets
@@ -449,13 +449,3 @@ def _qags(f, a, b, epsabs, epsrel, limit):
         if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
             ier = 6
     return QuadResult(result, abserr, neval, ier - 1 if ier > 2 else ier, last)
-
-
-def quad(f, a, b, epsabs, epsrel, limit):
-    """QAGS on [a, b], as SciPy's quad calls it.
-
-    Like SciPy, b < a integrates over [b, a] and negates the value.
-    """
-    flip, a, b = b < a, min(a, b), max(a, b)
-    result = _qags(f, a, b, epsabs, epsrel, limit)
-    return result._replace(value=-result.value) if flip else result

@@ -3,7 +3,9 @@
 Each family describes the law of a magnitude ``|X|`` on ``[0, inf)`` through
 whatever closed forms it admits (density, CDF, density derivative, quantile)
 plus a reproducible sampler.  Every family but ``stable`` (the signed ``X``)
-samples ``|X|``, by inverse transform unless it has a sampler of its own.
+samples ``|X|``, by inverse transform unless it has a sampler of its own:
+``half_cauchy`` folds ``tan`` of a uniform and ``half_normal`` takes
+``sigma * |Z|`` of standard normals ``Z``.
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
@@ -11,6 +13,7 @@ Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +27,9 @@ from .rng import substream
 class TailFamily:
     """A distribution family for the magnitude law, with optional closed forms.
 
-    Callable fields may be ``None``; the corresponding ``has_*`` capability
-    flag is then unset and the accessor raises :class:`CapabilityError`.
-    Without a ``_sampler``, sampling is ``quantile`` of uniforms.
+    Callable fields may be ``None``; the corresponding accessor then raises
+    :class:`CapabilityError`.  Without a ``_sampler``, sampling is
+    ``quantile`` of uniforms.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
     Pareto, 0 otherwise).  ``mean`` is the closed-form mean of the sampled
     values (for a symmetric law, its centre), or ``None`` where it is
@@ -43,26 +46,6 @@ class TailFamily:
     _pdf_derivative: callable = None
     _quantile: callable = None
     _sampler: callable = None
-
-    @property
-    def has_pdf(self):
-        return self._pdf is not None
-
-    @property
-    def has_cdf(self):
-        return self._cdf is not None
-
-    @property
-    def has_pdf_derivative(self):
-        return self._pdf_derivative is not None
-
-    @property
-    def has_quantile(self):
-        return self._quantile is not None
-
-    @property
-    def has_sampler(self):
-        return self._sampler is not None or self._quantile is not None
 
     def _require(self, attr, what):
         fn = getattr(self, attr)
@@ -208,22 +191,30 @@ def make_exponential(rate=1.0):
 
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
-    from scipy import special  # here, so the other families skip its import
+    from .intervals import _ndtri
 
     s = check_real(sigma, "sigma", 0, np.inf)
     c = np.sqrt(2.0 / np.pi) / s
+    # scalar functions applied elementwise: _ndtri is Cephes ndtri bit for
+    # bit, and math.erf is libm's
+    ndtri = np.vectorize(_ndtri, otypes=[float])
+    erf = np.vectorize(math.erf, otypes=[float])
 
     def pdf(x):
         return c * np.exp(-0.5 * (x / s) ** 2)
 
     def cdf(x):
-        return special.erf(x / (s * np.sqrt(2.0)))
+        return erf(x / (s * np.sqrt(2.0)))
 
     def pdf_derivative(x):
         return -x / (s * s) * pdf(x)
 
     def quantile(u):
-        return s * special.ndtri((1.0 + u) / 2.0)
+        return s * ndtri((1.0 + u) / 2.0)
+
+    def sampler(rng, size):
+        # not the quantile of uniforms: the scalar ndtri is 100 times slower
+        return s * np.abs(rng.standard_normal(size))
 
     return TailFamily(
         name="half_normal",
@@ -233,6 +224,7 @@ def make_half_normal(sigma=1.0):
         _cdf=cdf,
         _pdf_derivative=pdf_derivative,
         _quantile=quantile,
+        _sampler=sampler,
     )
 
 

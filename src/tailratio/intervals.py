@@ -7,10 +7,9 @@ import numpy as np
 from .errors import check_int, check_real
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
-# Functions, 1989), the routine scipy.special.ndtri runs.  Coefficients are
-# highest power first.  Q0, Q1 and Q2 lead with the 1 that Cephes' p1evl
-# leaves implicit: 1.0 * x + c is exactly x + c, so one Horner loop serves
-# for polevl and p1evl alike.
+# Functions, 1989).  Coefficients are highest power first.  Q0, Q1 and Q2
+# lead with the 1 that Cephes' p1evl leaves implicit: 1.0 * x + c is
+# exactly x + c, so one Horner loop serves for polevl and p1evl alike.
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 
@@ -57,7 +56,7 @@ def _polevl(x, coef):
 
 
 def _ndtri(y):
-    """Standard normal quantile of the float y, equal to scipy.special.ndtri.
+    """Standard normal quantile of the float y, bit for bit Cephes ndtri.
 
     A scalar port of Cephes ndtri in its order of floating-point operations,
     with libm's log and sqrt through math; -inf at 0, inf at 1, NaN outside

@@ -216,6 +216,8 @@ def joint_oracle_probability(family, n, kappa):
         return q.value
 
     def outer(t):
+        if t == 1.0:  # y = inf carries no mass
+            return 0.0
         y = lo + t / (1.0 - t)
         return float(family.pdf(y)) * inner(y) / (1.0 - t) ** 2
 

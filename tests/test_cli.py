@@ -150,6 +150,15 @@ class TestProbability:
         assert code == 5 and out == ""
         assert "ier 5: integral probably divergent" in err
 
+    def test_oracle_integrand_at_infinity(self, capsys):
+        # QUADPACK evaluates the outer integrand at t = 1, that is y = inf
+        code, out, err = run_cli(
+            ["prob-oracle", "--dist", "pareto:alpha=0.1", "--n", "8", "--kappa", "0.5"],
+            capsys,
+        )
+        assert code == 5 and out == ""
+        assert err.startswith("error: inner quadrature")
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, _ = run_cli(
             ["prob-exact", "--dist", "weibull:k=1", "--n", "10"], capsys

@@ -102,7 +102,6 @@ def _off(c):
 # (integrand, a, b, epsabs, epsrel, limit, QUADPACK's ier)
 BRANCHES = {
     "smooth": (math.exp, 0.0, 1.0, 1.49e-8, 1.49e-8, 50, 0),
-    "reversed": (math.exp, 1.0, 0.0, 1.49e-8, 1.49e-8, 50, 0),
     "one-interval": (math.sin, 0.0, 3.0, 1.49e-8, 1.49e-8, 1, 1),
     "limit": (lambda x: math.cos(1000.0 * x) * math.exp(-x), 0.0, 10.0,
               1.49e-8, 1.49e-8, 10, 1),
