@@ -30,7 +30,6 @@ from .families import (
     make_pareto,
     make_symmetric_stable,
     parse_family_spec,
-    sample,
 )
 from .intervals import wilson_interval
 from .lln import (
@@ -95,7 +94,6 @@ __all__ = [
     "mc_probability",
     "parse_family_spec",
     "running_mean_trajectory",
-    "sample",
     "scaling_exponent_experiment",
     "theory_slope",
     "top_two_magnitudes",

@@ -9,6 +9,14 @@ samples ``|X|``, by inverse transform unless it has a sampler of its own:
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
+A closed form takes one float and returns one float (an inverse-transform
+quantile also takes the sampler's array).  A power or quotient that can
+overflow or meet zero is taken on ``np.float64``, which gives inf or NaN
+where Python's ``**`` and ``/`` raise.  Where numpy's ufuncs (``np.power``,
+``np.square``) and libm's pow (Python's ``**``, also on ``np.float64``)
+differ in the last bit, each form keeps the one that its pinned outputs
+were computed with.
+
 Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
 """
@@ -28,8 +36,9 @@ class TailFamily:
     """A distribution family for the magnitude law, with optional closed forms.
 
     Callable fields may be ``None``; the corresponding accessor then raises
-    :class:`CapabilityError`.  Without a ``_sampler``, sampling is
-    ``quantile`` of uniforms.
+    :class:`CapabilityError`.  The closed forms take one float and return
+    one float.  Without a ``_sampler``, sampling is ``_quantile`` of an
+    array of uniforms, which that quantile must then also take.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
     Pareto, 0 otherwise).  ``mean`` is the closed-form mean of the sampled
     values (for a symmetric law, its centre), or ``None`` where it is
@@ -54,22 +63,20 @@ class TailFamily:
         return fn
 
     def pdf(self, x):
-        """Density p(x) of the magnitude law."""
-        return self._require("_pdf", "density")(np.asarray(x, dtype=float))
+        """Density p(x) of the magnitude law at the float x."""
+        return self._require("_pdf", "density")(x)
 
     def cdf(self, x):
-        """Distribution function F(x) of the magnitude law."""
-        return self._require("_cdf", "cdf")(np.asarray(x, dtype=float))
+        """Distribution function F(x) of the magnitude law at the float x."""
+        return self._require("_cdf", "cdf")(x)
 
     def pdf_derivative(self, x):
-        """p'(x)."""
-        return self._require("_pdf_derivative", "density derivative")(
-            np.asarray(x, dtype=float)
-        )
+        """p'(x) at the float x."""
+        return self._require("_pdf_derivative", "density derivative")(x)
 
     def quantile(self, u):
-        """Inverse CDF of the magnitude law."""
-        return self._require("_quantile", "quantile")(np.asarray(u, dtype=float))
+        """Inverse CDF of the magnitude law at the float u in [0, 1)."""
+        return self._require("_quantile", "quantile")(u)
 
     def sample(self, count, seed):
         """Draw `count` i.i.d. magnitudes (``stable``: signed values), deterministic in `seed`."""
@@ -88,11 +95,6 @@ class TailFamily:
         return f"{self.name}:{inner}"
 
 
-def sample(family, count, seed):
-    """Module-level alias for :meth:`TailFamily.sample`."""
-    return family.sample(count, seed)
-
-
 def make_pareto(alpha, xm=1.0):
     """Pareto family: F(x) = 1 - (xm/x)**alpha for x >= xm.
 
@@ -104,19 +106,19 @@ def make_pareto(alpha, xm=1.0):
     xm = check_real(xm, "xm", 0, np.inf)
 
     def pdf(x):
-        return np.where(x >= xm, alpha * xm**alpha * x ** (-alpha - 1.0), 0.0)
+        return alpha * xm**alpha * np.power(x, -alpha - 1.0) if x >= xm else 0.0
 
     def cdf(x):
-        return np.where(x >= xm, -np.expm1(alpha * (np.log(xm) - np.log(np.maximum(x, xm)))), 0.0)
+        return -np.expm1(alpha * (np.log(xm) - np.log(x))) if x >= xm else 0.0
 
     def pdf_derivative(x):
-        return np.where(
-            x >= xm, -alpha * (alpha + 1.0) * xm**alpha * x ** (-alpha - 2.0), 0.0
-        )
+        if x >= xm:
+            return -alpha * (alpha + 1.0) * xm**alpha * np.power(x, -alpha - 2.0)
+        return 0.0
 
     def quantile(u):
-        # sampling feeds u in [0, 1), so 1 - u in (0, 1] never hits the pole
-        return xm * (1.0 - u) ** (-1.0 / alpha)
+        # np.subtract makes 1 - u an np.float64 for a float u
+        return xm * np.subtract(1.0, u) ** (-1.0 / alpha)
 
     return TailFamily(
         name="pareto",
@@ -136,13 +138,13 @@ def make_half_cauchy(scale=1.0):
     s = check_real(scale, "scale", 0, np.inf)
 
     def pdf(x):
-        return (2.0 / np.pi) * s / (s * s + x * x)
+        return (2.0 / np.pi) * s / np.float64(s * s + x * x)
 
     def cdf(x):
         return (2.0 / np.pi) * np.arctan(x / s)
 
     def pdf_derivative(x):
-        return -(2.0 / np.pi) * s * 2.0 * x / (s * s + x * x) ** 2
+        return -(2.0 / np.pi) * s * 2.0 * x / np.square(s * s + x * x)
 
     def quantile(u):
         return s * np.tan(np.pi * u / 2.0)
@@ -195,22 +197,18 @@ def make_half_normal(sigma=1.0):
 
     s = check_real(sigma, "sigma", 0, np.inf)
     c = np.sqrt(2.0 / np.pi) / s
-    # scalar functions applied elementwise: _ndtri is Cephes ndtri bit for
-    # bit, and math.erf is libm's
-    ndtri = np.vectorize(_ndtri, otypes=[float])
-    erf = np.vectorize(math.erf, otypes=[float])
 
     def pdf(x):
-        return c * np.exp(-0.5 * (x / s) ** 2)
+        return c * np.exp(-0.5 * np.float64(x / s) ** 2)
 
     def cdf(x):
-        return erf(x / (s * np.sqrt(2.0)))
+        return math.erf(x / (s * np.sqrt(2.0)))
 
     def pdf_derivative(x):
-        return -x / (s * s) * pdf(x)
+        return -x / np.float64(s * s) * pdf(x)
 
     def quantile(u):
-        return s * ndtri((1.0 + u) / 2.0)
+        return s * _ndtri((1.0 + u) / 2.0)
 
     def sampler(rng, size):
         # not the quantile of uniforms: the scalar ndtri is 100 times slower

@@ -307,11 +307,12 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     # (b) integrability probe on the common support {x >= edge, kappa*x >= edge}
     g_lo = max(lo, edge / kappa if edge > 0.0 else lo)
     xs = np.linspace(g_lo, hi, grid_points)
-    p_kx = family.pdf(kappa * xs)
+    p_x, p_kx, dp_x, dp_kx = (
+        np.array([f(x) for x in grid])
+        for f in (family.pdf, family.pdf_derivative) for grid in (xs, kappa * xs)
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = family.pdf_derivative(xs) / (kappa * p_kx) - family.pdf(
-            xs
-        ) * family.pdf_derivative(kappa * xs) / p_kx**2
+        g = dp_x / (kappa * p_kx) - p_x * dp_kx / p_kx**2
     g = np.where(np.isfinite(g), g, 0.0)
     integrand_integral = float(np.trapezoid(np.abs(g), xs))
 

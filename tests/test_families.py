@@ -1,5 +1,8 @@
 """Distribution-family catalog: closed forms, samplers, spec strings."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -17,6 +20,11 @@ FULL_FAMILIES = [
     tr.make_exponential(0.5),
     tr.make_half_normal(1.0),
 ]
+
+
+def pointwise(form, xs):
+    # the closed forms take one float: evaluate one along an array
+    return np.array([form(x) for x in xs])
 
 
 def bisect_quantile(family, u, lo, hi, iters=200):
@@ -51,8 +59,10 @@ class TestPareto:
 
     def test_below_support(self):
         fam = tr.make_pareto(1.5, 1.0)
-        assert fam.cdf(0.5) == 0.0
-        assert fam.pdf(0.5) == 0.0
+        for x in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert fam.cdf(x) == 0.0
+            assert fam.pdf(x) == 0.0
+            assert fam.pdf_derivative(x) == 0.0
 
     def test_density_ratio_identity(self):
         # p(x)/(kappa p(kappa x)) == kappa**alpha wherever both points are in support
@@ -102,6 +112,21 @@ class TestLightTails:
         assert tr.make_half_normal(1).tail_index is None
 
 
+@pytest.mark.parametrize(
+    "form, x, want",
+    [
+        (tr.make_pareto(0.005).quantile, 0.999, math.inf),
+        (tr.make_half_normal(1.0).pdf, 1e200, 0.0),
+        (tr.make_half_cauchy(1.0).pdf_derivative, 1e100, 0.0),
+        (tr.make_half_cauchy(1e-170).pdf, 0.0, math.inf),
+    ],
+)
+def test_forms_overflow_like_numpy(form, x, want):
+    # a Python float ** or / here would raise OverflowError or ZeroDivisionError
+    with np.errstate(all="ignore"):
+        assert form(x) == want
+
+
 class TestHalfNormal:
     # u in [0, 1]: both branches of ndtri, and x = sqrt(-2 log y) on both sides of 8
     U = np.concatenate([
@@ -114,7 +139,7 @@ class TestHalfNormal:
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_quantile_is_scipy_ndtri(self, sigma):
         # the quantile of prob-exact's integrand, so its output keeps its bits
-        got = tr.make_half_normal(sigma).quantile(self.U)
+        got = pointwise(tr.make_half_normal(sigma).quantile, self.U)
         want = sigma * special.ndtri((1.0 + self.U) / 2.0)
         assert got.tobytes() == want.tobytes()
 
@@ -124,7 +149,7 @@ class TestHalfNormal:
         # x = 0.12, Cephes is 2 ulps below the correctly rounded value and
         # libm is on it
         x = np.concatenate([np.linspace(0.0, 10.0, 2001), np.logspace(-300, 1, 300)]) * sigma
-        got = tr.make_half_normal(sigma).cdf(x)
+        got = pointwise(tr.make_half_normal(sigma).cdf, x)
         want = special.erf(x / (sigma * np.sqrt(2.0)))
         assert (np.abs(got - want) <= 2 * np.spacing(want)).all()
 
@@ -174,8 +199,8 @@ class TestSymmetricStable:
 class TestSampling:
     def test_determinism(self):
         fam = tr.make_pareto(1.0, 1.0)
-        a = tr.sample(fam, 5, 99)
-        b = tr.sample(fam, 5, 99)
+        a = fam.sample(5, 99)
+        b = fam.sample(5, 99)
         assert np.array_equal(a, b)
 
     def test_pareto_support(self):
@@ -218,8 +243,8 @@ class TestSampling:
 @pytest.mark.parametrize("fam", FULL_FAMILIES, ids=lambda f: f.spec_string())
 class TestFullCapabilityInvariants:
     def test_cdf_shape(self, fam):
-        grid = fam.quantile(np.linspace(0.001, 0.999, 50))
-        vals = fam.cdf(grid)
+        grid = pointwise(fam.quantile, np.linspace(0.001, 0.999, 50))
+        vals = pointwise(fam.cdf, grid)
         assert (np.diff(vals) >= 0).all()
         assert fam.cdf(fam.support_lo) <= 1e-15
         assert float(fam.cdf(fam.quantile(0.999999))) > 0.99999
@@ -242,20 +267,28 @@ class TestFullCapabilityInvariants:
 
     def test_quantile_roundtrip(self, fam):
         us = np.linspace(0.01, 0.99, 33)
-        back = fam.cdf(fam.quantile(us))
+        back = pointwise(fam.cdf, pointwise(fam.quantile, us))
         assert np.abs(back - us).max() < 1e-10
 
     def test_cdf_derivative_is_pdf(self, fam):
-        xs = fam.quantile(np.linspace(0.1, 0.9, 9))
+        xs = pointwise(fam.quantile, np.linspace(0.1, 0.9, 9))
         h = 1e-6
-        fd = (fam.cdf(xs + h) - fam.cdf(xs - h)) / (2.0 * h)
-        assert np.allclose(fd, fam.pdf(xs), rtol=1e-5, atol=1e-8)
+        fd = (pointwise(fam.cdf, xs + h) - pointwise(fam.cdf, xs - h)) / (2.0 * h)
+        assert np.allclose(fd, pointwise(fam.pdf, xs), rtol=1e-5, atol=1e-8)
 
     def test_pdf_derivative_matches(self, fam):
-        xs = fam.quantile(np.linspace(0.1, 0.9, 9))
+        xs = pointwise(fam.quantile, np.linspace(0.1, 0.9, 9))
         h = 1e-6
-        fd = (fam.pdf(xs + h) - fam.pdf(xs - h)) / (2.0 * h)
-        assert np.allclose(fd, fam.pdf_derivative(xs), rtol=1e-4, atol=1e-7)
+        fd = (pointwise(fam.pdf, xs + h) - pointwise(fam.pdf, xs - h)) / (2.0 * h)
+        assert np.allclose(fd, pointwise(fam.pdf_derivative, xs), rtol=1e-4, atol=1e-7)
+
+    def test_forms_at_zero_are_floats(self, fam):
+        # Pareto's support starts at xm, so 0.0 is below it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [fam.pdf(0.0), fam.cdf(0.0), fam.pdf_derivative(0.0)]
+        for v in values:
+            assert isinstance(v, float) and math.isfinite(v)
 
     def test_mean_is_the_integral_of_the_quantile(self, fam):
         if fam.mean is None:
@@ -267,7 +300,7 @@ class TestFullCapabilityInvariants:
 
     def test_kolmogorov_distance(self, fam):
         x = np.sort(np.abs(fam.sample(10**5, 2024)))
-        theo = np.asarray(fam.cdf(x))
+        theo = pointwise(fam.cdf, x)
         n = x.size
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n

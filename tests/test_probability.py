@@ -173,6 +173,30 @@ class TestJointOracle:
         assert r.error_estimate.hex() == "0x1.08608e91b0b70p-34"
         assert (r.neval, r.intervals) == (35616, 964)
 
+    @pytest.mark.parametrize(
+        "fam, n, kappa, value, error",
+        [
+            # Pareto's quantile and half-normal's density use libm's pow,
+            # Pareto's density numpy's power; the two differ in the last
+            # bit on some inputs
+            (tr.make_pareto(0.5, 2.0), 2, 0.1,
+             "0x1.43d136248490fp-2", "0x1.f9f6e4990f227p-49"),
+            (tr.make_pareto(1.5), 10**9, 0.9,
+             "0x1.b5273c4ae62a1p-1", "0x1.5586a71a83d0ep-47"),
+            (tr.make_pareto(3.0, 0.5), 3, 0.1,
+             "0x1.0624dd2f1a9fcp-10", "0x1.999999999999ap-57"),
+            (tr.make_half_normal(1.0), 1000, 0.5,
+             "0x1.a22e7e52f90bep-21", "0x1.33b8d65180000p-39"),
+            # moves if half-normal's density squares exactly (np.square)
+            (tr.make_half_normal(1.0), 10**6, 0.99,
+             "0x1.91310b8316085p-1", "0x1.77c7ec0000000p-28"),
+        ],
+        ids=lambda v: v.spec_string() if isinstance(v, TailFamily) else None,
+    )
+    def test_exact_bits(self, fam, n, kappa, value, error):
+        r = tr.exact_probability(fam, n, kappa)
+        assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
+
     def test_failed_integral_raises(self):
         # the inner integrals give up (ier 5) although the error bound looks small
         with pytest.raises(AccuracyError) as exc:
