@@ -9,13 +9,16 @@ Monte Carlo subcommands require an explicit --seed (no silent entropy).
 subcommand runs on one thread.
 
 Each subcommand is declared once in _COMMANDS: its help, its options and a
-handler that turns the resolved options into a record (or a ready CSV
-table).  An option's value is the flag, else the key of the --config file,
-else the option's default; flag and file values alike are cast with the
-option's type and checked against its choices.
+handler that turns the resolved options into a record, which --format
+writes as JSON or CSV, or into ready CSV tables (lln-demo, which has no
+--format).  An option's value is the flag, else the key of the --config
+file, else the option's default; flag and file values alike are cast with
+the option's type and checked against its choices.  A --config key that
+names no option of the subcommand is an argument error.
 
-Exit codes: 0 success, 2 argument error, 3 capability error, 4 insufficient
-data, 5 accuracy failure, 6 degenerate frequency.
+Exit codes: 0 success, else the `exit_code` of the error: 2 argument error
+(TailRatioError, ValueError, OSError), 3 CapabilityError, 4
+InsufficientDataError, 5 AccuracyError, 6 DegenerateFrequencyError.
 """
 
 import argparse
@@ -27,25 +30,10 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import lln, probability, records
-from .errors import (
-    AccuracyError,
-    CapabilityError,
-    DegenerateFrequencyError,
-    InsufficientDataError,
-    ParameterDomainError,
-    TailRatioError,
-    check_int,
-    check_real,
-)
+from .errors import ParameterDomainError, TailRatioError, check_int, check_real
 from .estimation import estimate_alpha_from_data
 from .families import parse_family_spec
 from .outliers import is_outlier, ksigma_outliers
-
-EXIT_ARGUMENT = 2
-EXIT_CAPABILITY = 3
-EXIT_INSUFFICIENT = 4
-EXIT_ACCURACY = 5
-EXIT_DEGENERATE = 6
 
 _REQUIRED = object()
 
@@ -89,8 +77,9 @@ _N = _Option("n", _int, _REQUIRED, "sample size, >= 2")
 _SEED = _Option("seed", _int, _REQUIRED, "64-bit RNG seed; no silent entropy")
 _THREADS = _Option("threads", partial(_int, lo=1), 1,
                    "worker threads, >= 1; accepted but has no effect yet")
+# an option of the commands whose handler returns a record
+_FORMAT = _Option("format", str, "json", "output format", ("json", "csv"))
 _OUTPUT = (
-    _Option("format", str, "json", "output format", ("json", "csv")),
     _Option("output", str, None, "output file (default: stdout)"),
     _Option("config", str, None,
             "JSON file supplying the same keys as the flags; flags override it"),
@@ -99,7 +88,16 @@ _OUTPUT = (
 
 def _detect(opts):
     verdict = is_outlier(records.read_values(opts.input), opts.kappa)
-    return records.verdict_record(verdict)
+    top = verdict.top_two
+    return {
+        "is_outlier": verdict.is_outlier,
+        "kappa": verdict.kappa,
+        "ratio": verdict.ratio,
+        "max_magnitude": top.max_magnitude,
+        "second_magnitude": top.second_magnitude,
+        "max_index": top.max_index,
+        "second_index": top.second_index,
+    }
 
 
 def _ksigma(opts):
@@ -108,48 +106,60 @@ def _ksigma(opts):
 
 
 def _prob_limit(opts):
-    result = probability.ProbabilityResult(
-        value=probability.limit_probability(opts.kappa, opts.alpha),
-        method="limit",
-        error_estimate=0.0,
-        kappa=opts.kappa,
-    )
-    return records.probability_record(result, None, {"alpha": opts.alpha})
+    value = probability.limit_probability(opts.kappa, opts.alpha)
+    result = probability.ProbabilityResult(value, "limit", error_estimate=0.0, kappa=opts.kappa)
+    # the limit has no family: its record names none and gives the tail index
+    no_family = SimpleNamespace(name=None, params={"alpha": opts.alpha})
+    return records.probability_record(result, no_family)
 
 
 def _prob_exact(opts):
     result = probability.exact_probability(opts.dist, opts.n, opts.kappa)
-    return records.probability_record(result, opts.dist.name, opts.dist.params)
+    return records.probability_record(result, opts.dist)
 
 
 def _prob_mc(opts):
     result = probability.mc_probability(
         opts.dist, opts.n, opts.kappa, opts.trials, opts.seed, opts.confidence
     )
-    return records.probability_record(result, opts.dist.name, opts.dist.params)
+    return records.probability_record(result, opts.dist)
 
 
 def _prob_oracle(opts):
     result = probability.joint_oracle_probability(opts.dist, opts.n, opts.kappa)
-    return records.probability_record(result, opts.dist.name, opts.dist.params)
+    return records.probability_record(result, opts.dist)
 
 
 def _check_conditions(opts):
     report = probability.check_theorem_conditions(
-        opts.dist,
-        opts.kappa,
-        opts.n,
-        probe_range=(opts.probe_lo, opts.probe_hi),
-        grid_points=opts.grid_points,
+        opts.dist, opts.kappa, opts.n, (opts.probe_lo, opts.probe_hi), opts.grid_points
     )
-    return records.condition_record(report, opts.dist, opts.kappa, opts.n)
+    return {
+        "family": opts.dist.name,
+        "params": records._params_string(opts.dist),
+        "n": opts.n,
+        "kappa": opts.kappa,
+        "boundary_ratio_limit": report.boundary_ratio_limit,
+        "zero_limit_ok": report.zero_limit_ok,
+        "integrand_integral": report.integrand_integral,
+        "notes": report.notes,
+    }
 
 
 def _estimate_alpha(opts):
     estimate = estimate_alpha_from_data(
         records.read_values(opts.input), opts.block_size, opts.kappa, opts.confidence
     )
-    return records.alpha_record(estimate)
+    return {
+        "alpha_hat": estimate.alpha_hat,
+        "p_hat": estimate.p_hat,
+        "kappa": estimate.kappa,
+        "block_size": estimate.block_size,
+        "blocks": estimate.blocks,
+        "ci_lo": estimate.ci[0],
+        "ci_hi": estimate.ci[1],
+        "confidence": estimate.confidence,
+    }
 
 
 def _lln_demo(opts):
@@ -164,34 +174,33 @@ def _lln_demo(opts):
         return records.rows_to_csv(["n", "replication", "running_mean"], rows)
     reps = 200 if opts.replications is None else opts.replications
     result = lln.scaling_exponent_experiment(opts.dist, opts.ns, reps, opts.seed)
-    alpha = opts.dist.params.get("alpha", opts.dist.tail_index)
-    # 1/alpha - 1 is the stable exponent; a tail with finite variance (alpha > 2) has none
-    theory = lln.theory_slope(alpha) if alpha is not None and alpha <= 2.0 else None
     table = records.rows_to_csv(["n", "median_abs_mean"], zip(result.ns, result.per_n_medians))
-    return table + records.rows_to_csv(["slope", "theory_slope"], [(result.slope, theory)])
+    slope = records.rows_to_csv(["slope", "theory_slope"], [(result.slope, result.theory_slope)])
+    return table + slope
 
 
 # subcommand -> (help, options, handler); a handler returns a record or a CSV table
 _COMMANDS = {
     "detect": (
         "ratio-outlier verdict on newline-delimited input data",
-        (_KAPPA, _INPUT),
+        (_KAPPA, _INPUT, _FORMAT),
         _detect,
     ),
     "ksigma": (
         "classical k-sigma outlier indices (baseline rule)",
-        (_Option("k", _real, 3.0, "number of standard deviations"), _INPUT),
+        (_Option("k", _real, 3.0, "number of standard deviations"), _INPUT, _FORMAT),
         _ksigma,
     ),
     "prob-limit": (
         "large-n outlier probability kappa**alpha",
         (_KAPPA._replace(help="ratio threshold in (0,1]"),
-         _Option("alpha", _real, _REQUIRED, "tail index, positive")),
+         _Option("alpha", _real, _REQUIRED, "tail index, positive"),
+         _FORMAT),
         _prob_limit,
     ),
     "prob-exact": (
         "finite-n outlier probability by quadrature",
-        (_DIST, _N, _KAPPA),
+        (_DIST, _N, _KAPPA, _FORMAT),
         _prob_exact,
     ),
     "prob-mc": (
@@ -200,12 +209,13 @@ _COMMANDS = {
          _Option("trials", _int, 100_000, "number of samples"),
          _SEED,
          _Option("confidence", _real, 0.95, "Wilson interval level"),
-         _THREADS),
+         _THREADS,
+         _FORMAT),
         _prob_mc,
     ),
     "prob-oracle": (
         "small-n probability from the joint top-two density",
-        (_DIST, _N._replace(help="sample size in 2..8"), _KAPPA),
+        (_DIST, _N._replace(help="sample size in 2..8"), _KAPPA, _FORMAT),
         _prob_oracle,
     ),
     "check-conditions": (
@@ -216,7 +226,8 @@ _COMMANDS = {
                  "lower end of probe range (default: support edge + 0.01)"),
          _Option("probe_hi", _real, None,
                  "upper end of probe range (default: support edge + 50)"),
-         _Option("grid_points", _int, 401, "grid size for the integrand probe")),
+         _Option("grid_points", _int, 401, "grid size for the integrand probe"),
+         _FORMAT),
         _check_conditions,
     ),
     "estimate-alpha": (
@@ -224,7 +235,8 @@ _COMMANDS = {
         (_Option("block_size", _int, _REQUIRED, "observations per block, >= 2"),
          _KAPPA,
          _Option("confidence", _real, 0.95, "CI level"),
-         _INPUT),
+         _INPUT,
+         _FORMAT),
         _estimate_alpha,
     ),
     "lln-demo": (
@@ -281,6 +293,11 @@ def _resolve(args, options):
         if not isinstance(loaded, dict):
             raise ParameterDomainError("config file must hold a JSON object")
         file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+        unknown = sorted(file.keys() - {option.name for option in options})
+        if unknown:
+            raise ParameterDomainError(
+                f"config key {unknown[0]!r} names no option of this subcommand"
+            )
     opts = SimpleNamespace()
     for option in options:
         value = args.get(option.name)
@@ -323,27 +340,9 @@ def main(argv=None):
     try:
         opts = _resolve(vars(args), options + _OUTPUT)
         _emit(handler(opts), opts)
-    except DegenerateFrequencyError as exc:
-        print(
-            f"error: {exc} "
-            f"({exc.confidence:.0%} {exc.bound_side} bound on alpha: {exc.bound:.6g})",
-            file=sys.stderr,
-        )
-        return EXIT_DEGENERATE
-    except AccuracyError as exc:
-        print(
-            f"error: {exc} (best estimate {exc.best_estimate!r})", file=sys.stderr
-        )
-        return EXIT_ACCURACY
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
     except (TailRatioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
+        return getattr(exc, "exit_code", 2)
     return 0
 
 

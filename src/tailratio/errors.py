@@ -10,7 +10,9 @@ import numpy as np
 
 
 class TailRatioError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; `exit_code` is the CLI's exit status."""
+
+    exit_code = 2
 
 
 class ParameterDomainError(TailRatioError, ValueError):
@@ -55,9 +57,13 @@ def check_real(value, name, lo, hi, ends="()"):
 class CapabilityError(TailRatioError):
     """A family lacks the analytic capability an operation requires."""
 
+    exit_code = 3
+
 
 class InsufficientDataError(TailRatioError, ValueError):
     """The input sequence is too short for the requested operation."""
+
+    exit_code = 4
 
 
 class SingularityError(TailRatioError, ZeroDivisionError):
@@ -67,12 +73,14 @@ class SingularityError(TailRatioError, ZeroDivisionError):
 class AccuracyError(TailRatioError):
     """Quadrature stopped with a QUADPACK failure flag or short of its tolerance.
 
-    Carries the best available estimate so callers can inspect it, and
+    Carries the best available estimate, which the message ends with, and
     QUADPACK's flag `ier` saying why it stopped.
     """
 
+    exit_code = 5
+
     def __init__(self, message, best_estimate=None, error_estimate=None, ier=None):
-        super().__init__(message)
+        super().__init__(f"{message} (best estimate {best_estimate!r})")
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
         self.ier = ier
@@ -81,13 +89,15 @@ class AccuracyError(TailRatioError):
 class DegenerateFrequencyError(TailRatioError):
     """The observed event frequency is 0 or 1, so ln(p_hat) is unusable.
 
-    Carries the one-sided bound obtainable from the Wilson interval:
-    ``bound_side`` is "upper" when every block triggered the event
-    (alpha is bounded above) and "lower" when no block did.
+    Carries the one-sided bound obtainable from the Wilson interval, which
+    the message ends with: ``bound_side`` is "upper" when every block
+    triggered the event (alpha is bounded above) and "lower" when no block did.
     """
 
+    exit_code = 6
+
     def __init__(self, message, p_hat, bound, bound_side, confidence):
-        super().__init__(message)
+        super().__init__(f"{message} ({confidence:.0%} {bound_side} bound on alpha: {bound:.6g})")
         self.p_hat = p_hat
         self.bound = bound
         self.bound_side = bound_side

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ParameterDomainError, check_int, check_real
+from .intervals import _ndtri
 from .records import _fmt
 from .rng import substream
 
@@ -193,8 +194,6 @@ def make_exponential(rate=1.0):
 
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
-    from .intervals import _ndtri
-
     s = check_real(sigma, "sigma", 0, np.inf)
     c = np.sqrt(2.0 / np.pi) / s
 

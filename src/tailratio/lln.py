@@ -26,23 +26,21 @@ class TrajectorySeries:
 
     checkpoints: tuple
     running_means: tuple
-    family_name: str
-    params: dict
-    seed: int
-    replication: int = 0
 
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Log-log slope of median |running mean| versus sample size."""
+    """Log-log slope of median |running mean| versus sample size.
+
+    `theory_slope` is the stable exponent 1/alpha - 1 of the family's alpha
+    parameter, else of its tail index; None when it has neither, or when
+    alpha > 2 (a finite variance).
+    """
 
     slope: float
     ns: tuple
     per_n_medians: tuple
-    replications: int
-    family_name: str
-    params: dict
-    seed: int
+    theory_slope: float | None
 
 
 def _increasing(values, name, need, hi=None):
@@ -77,14 +75,7 @@ def running_mean_trajectory(family, total, checkpoints, seed, replication=0):
         means += [csum[c - drawn - 1] / c for c in cps if drawn < c <= drawn + csum.size]
         drawn += csum.size
         running_sum = csum[-1]
-    return TrajectorySeries(
-        checkpoints=tuple(cps),
-        running_means=tuple(float(m) for m in means),
-        family_name=family.name,
-        params=dict(family.params),
-        seed=seed,
-        replication=replication,
-    )
+    return TrajectorySeries(checkpoints=tuple(cps), running_means=tuple(float(m) for m in means))
 
 
 def scaling_exponent_experiment(family, ns, replications, seed):
@@ -112,15 +103,9 @@ def scaling_exponent_experiment(family, ns, replications, seed):
             abs_means[r] = abs(x.mean() - mu)
         medians.append(float(np.median(abs_means)))
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
-    return ScalingResult(
-        slope=slope,
-        ns=tuple(ns),
-        per_n_medians=tuple(medians),
-        replications=replications,
-        family_name=family.name,
-        params=dict(family.params),
-        seed=seed,
-    )
+    alpha = family.params.get("alpha", family.tail_index)
+    theory = theory_slope(alpha) if alpha is not None and alpha <= 2.0 else None
+    return ScalingResult(slope, tuple(ns), tuple(medians), theory)
 
 
 def theory_slope(alpha):

@@ -38,9 +38,9 @@ class OutlierVerdict:
     top_two: TopTwo
 
 
-def check_kappa(kappa, allow_one=False):
-    """Validate and return kappa in (0, 1), or in (0, 1] with `allow_one`."""
-    return check_real(kappa, "kappa", 0, 1, "(]" if allow_one else "()")
+def check_kappa(kappa):
+    """Validate and return kappa in (0, 1)."""
+    return check_real(kappa, "kappa", 0, 1)
 
 
 def _finite_values(data, need, purpose):

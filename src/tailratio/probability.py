@@ -76,7 +76,7 @@ class ConditionReport:
 
 def limit_probability(kappa, alpha):
     """Large-n limit of the outlier-event probability: kappa**alpha."""
-    kappa = check_kappa(kappa, allow_one=True)
+    kappa = check_real(kappa, "kappa", 0, 1, "(]")
     return kappa ** check_real(alpha, "alpha", 0, np.inf, "(]")
 
 

@@ -25,21 +25,20 @@ def _fmt(value):
     return str(value)
 
 
-def _params_string(params):
-    return ";".join(f"{k}={_fmt(float(v))}" for k, v in params.items())
+def _params_string(family):
+    return ";".join(f"{k}={_fmt(float(v))}" for k, v in family.params.items())
 
 
-def probability_record(result, family_name, params):
+def probability_record(result, family):
     """Record for any ProbabilityResult, keyed by method.
 
-    `params` are the parameters behind the value: the family's, or the tail
-    index of the limit.
+    `family` is the one behind the value: its name and params are written.
     """
     ci = result.ci or (None, None)
     return {
         "method": result.method,
-        "family": family_name,
-        "params": _params_string(params),
+        "family": family.name,
+        "params": _params_string(family),
         "n": result.n,
         "kappa": result.kappa,
         "value": result.value,
@@ -48,45 +47,6 @@ def probability_record(result, family_name, params):
         "ci_hi": ci[1],
         "trials": result.trials,
         "seed": result.seed,
-    }
-
-
-def alpha_record(estimate):
-    return {
-        "alpha_hat": estimate.alpha_hat,
-        "p_hat": estimate.p_hat,
-        "kappa": estimate.kappa,
-        "block_size": estimate.block_size,
-        "blocks": estimate.blocks,
-        "ci_lo": estimate.ci[0],
-        "ci_hi": estimate.ci[1],
-        "confidence": estimate.confidence,
-    }
-
-
-def verdict_record(verdict):
-    top = verdict.top_two
-    return {
-        "is_outlier": verdict.is_outlier,
-        "kappa": verdict.kappa,
-        "ratio": verdict.ratio,
-        "max_magnitude": top.max_magnitude,
-        "second_magnitude": top.second_magnitude,
-        "max_index": top.max_index,
-        "second_index": top.second_index,
-    }
-
-
-def condition_record(report, family, kappa, n):
-    return {
-        "family": family.name,
-        "params": _params_string(family.params),
-        "n": n,
-        "kappa": kappa,
-        "boundary_ratio_limit": report.boundary_ratio_limit,
-        "zero_limit_ok": report.zero_limit_ok,
-        "integrand_integral": report.integrand_integral,
-        "notes": report.notes,
     }
 
 

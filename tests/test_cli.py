@@ -403,6 +403,65 @@ class TestCheckConditions:
         assert "over [2, 20]" in json.loads(out)["notes"]
 
 
+class TestCommandOptions:
+    def test_lln_demo_has_no_format(self, capsys):
+        # lln-demo writes CSV tables only, so a --format would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["lln-demo", "--dist", "stable:alpha=0.6", "--seed", "1", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"lln-demo"}))
+    def test_record_commands_take_format(self, command):
+        assert cli.build_parser().parse_args([command, "--format", "csv"]).format == "csv"
+
+    def test_config_key_naming_no_option(self, capsys, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kapa": 0.3}))
+        code, out, err = run_cli(
+            ["detect", "--config", str(cfg)], capsys, stdin="1\n2\n10\n", monkeypatch=monkeypatch
+        )
+        assert (code, out, err) == (
+            2, "", "error: config key 'kapa' names no option of this subcommand\n"
+        )
+
+    def test_config_key_checked_after_hyphen_normalisation(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"probe-lo": 3, "grid-size": 5}))
+        code, out, err = run_cli(["check-conditions", "--dist", PARETO, "--config", str(cfg)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: config key 'grid_size' names no option of this subcommand\n"
+        cfg.write_text(json.dumps({"probe-lo": 3, "grid-points": 5}))
+        code, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--config", str(cfg)],
+                               capsys)
+        assert code == 0 and "over [3, 51]" in json.loads(out)["notes"]
+
+
+# one command per exit status: (argv, stdin, exit code, the whole of stderr)
+EXIT_STATUS = {
+    2: (["detect", "--kappa", "2"], "1\n2\n",
+        "error: kappa must be a real number in (0, 1), got 2.0\n"),
+    3: (["prob-exact", "--dist", "stable:alpha=0.5", "--n", "10"], None,
+        "error: family 'stable' has no quantile\n"),
+    4: (["detect"], "1\n",
+        "error: need at least 2 values to rank the top two, got 1\n"),
+    5: (["prob-oracle", "--dist", "pareto:alpha=0.3", "--n", "8", "--kappa", "0.5"], None,
+        "error: inner quadrature over [1, 1.20725e+08] stopped with ier 5: integral probably "
+        "divergent; error bound 2.513e-05, tolerance 1.000e-11 "
+        "(best estimate 0.8122523111362424)\n"),
+    6: (["estimate-alpha", "--block-size", "2"], "0\n0\n0\n0\n",
+        "error: every block triggered the event; alpha_hat is only bounded above "
+        "(95% upper bound on alpha: 1.54633)\n"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_STATUS))
+def test_exit_status_and_stderr(code, capsys, monkeypatch):
+    argv, stdin, err = EXIT_STATUS[code]
+    assert run_cli(argv, capsys, stdin=stdin, monkeypatch=monkeypatch) == (code, "", err)
+
+
 # Deterministic subcommands, byte for byte.  Monte Carlo digits are not
 # pinned: the Monte Carlo stream layout may change on purpose.
 GOLDEN = {

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 import tailratio as tr
-from tailratio.errors import ParameterDomainError, check_int, check_real
+from tailratio.errors import (
+    AccuracyError,
+    CapabilityError,
+    DegenerateFrequencyError,
+    InsufficientDataError,
+    ParameterDomainError,
+    SingularityError,
+    TailRatioError,
+    check_int,
+    check_real,
+)
 from tailratio.rng import substream
 
 PARETO = tr.make_pareto(1.5, 1.0)
@@ -113,3 +123,25 @@ def test_check_real_ends(ends, inside, outside):
     assert check_real("0.5", "x", 0, 1, ends) == 0.5
     with pytest.raises(ParameterDomainError):
         check_real("x", "x", 0, 1, ends)
+
+
+@pytest.mark.parametrize("cls,code", [
+    (TailRatioError, 2), (ParameterDomainError, 2), (SingularityError, 2),
+    (CapabilityError, 3), (InsufficientDataError, 4), (AccuracyError, 5),
+    (DegenerateFrequencyError, 6),
+])
+def test_exit_code(cls, code):
+    assert cls.exit_code == code
+
+
+def test_accuracy_error_message_ends_with_best_estimate():
+    with pytest.raises(AccuracyError) as exc:
+        tr.joint_oracle_probability(tr.make_pareto(0.3), 8, 0.5)
+    assert str(exc.value).endswith(f" (best estimate {exc.value.best_estimate!r})")
+    assert str(exc.value).endswith(" (best estimate 0.8122523111362424)")
+
+
+def test_degenerate_error_message_ends_with_bound():
+    with pytest.raises(DegenerateFrequencyError) as exc:
+        tr.estimate_alpha_from_frequency(0.0, 0.5, 50, confidence=0.9)
+    assert str(exc.value).endswith(f" (90% lower bound on alpha: {exc.value.bound:.6g})")

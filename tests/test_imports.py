@@ -1,5 +1,6 @@
-"""No command loads any scipy module: numpy is the only runtime dependency.
+"""Imports: no command loads scipy, and no module imports a name it does not use.
 
+No command loads any scipy module: numpy is the only runtime dependency.
 Quadrature, the normal quantile and the half-normal family's erf are the
 library's own or the standard library's; scipy is only the tests' reference.
 
@@ -7,6 +8,7 @@ Each case runs in a fresh interpreter, because sys.modules keeps whatever an
 earlier import in the test process loaded.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -74,3 +76,21 @@ def test_scipy_modules_loaded(case, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# the package's __init__ imports names to re-export them
+MODULES = sorted(p.name for p in (ROOT / "src" / "tailratio").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((ROOT / "src" / "tailratio" / module).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == set()
