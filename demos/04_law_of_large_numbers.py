@@ -14,7 +14,7 @@ CHECKPOINTS = [100, 1000, 10_000, 100_000]
 print("running means along one stream (seed 5):")
 for alpha in (0.6, 1.0, 1.5, 2.0):
     fam = tr.make_symmetric_stable(alpha, 1.0)
-    series = tr.running_mean_trajectory(fam, 100_000, CHECKPOINTS, seed=5)
+    series = tr.running_mean_trajectory(fam, CHECKPOINTS, seed=5)
     cells = "  ".join(f"{m:>12.4f}" for m in series.running_means)
     print(f"  alpha = {alpha}: {cells}")
 print(f"  (columns: n = {CHECKPOINTS})")

@@ -14,7 +14,8 @@ writes as JSON or CSV, or into ready CSV tables (lln-demo, which has no
 --format).  An option's value is the flag, else the key of the --config
 file, else the option's default; flag and file values alike are cast with
 the option's type and checked against its choices.  A --config key that
-names no option of the subcommand is an argument error.
+names no option of the subcommand, `config` itself included, is an
+argument error.
 
 Exit codes: 0 success, else the `exit_code` of the error: 2 argument error
 (TailRatioError, ValueError, OSError), 3 CapabilityError, 4
@@ -79,11 +80,7 @@ _THREADS = _Option("threads", partial(_int, lo=1), 1,
                    "worker threads, >= 1; accepted but has no effect yet")
 # an option of the commands whose handler returns a record
 _FORMAT = _Option("format", str, "json", "output format", ("json", "csv"))
-_OUTPUT = (
-    _Option("output", str, None, "output file (default: stdout)"),
-    _Option("config", str, None,
-            "JSON file supplying the same keys as the flags; flags override it"),
-)
+_OUTPUT = _Option("output", str, None, "output file (default: stdout)")
 
 
 def _detect(opts):
@@ -167,9 +164,7 @@ def _lln_demo(opts):
         reps = 1 if opts.replications is None else opts.replications
         rows = []
         for r in range(reps):
-            series = lln.running_mean_trajectory(
-                opts.dist, opts.total, opts.checkpoints, opts.seed, r
-            )
+            series = lln.running_mean_trajectory(opts.dist, opts.checkpoints, opts.seed, r)
             rows.extend((n, r, m) for n, m in zip(series.checkpoints, series.running_means))
         return records.rows_to_csv(["n", "replication", "running_mean"], rows)
     reps = 200 if opts.replications is None else opts.replications
@@ -243,7 +238,6 @@ _COMMANDS = {
         "running-mean trajectories / scaling-exponent experiment",
         (_DIST,
          _Option("mode", str, "scaling", "experiment", ("trajectory", "scaling")),
-         _Option("total", _int, 100_000, "trajectory stream length"),
          _Option("checkpoints", _int_list, "100,1000,10000,100000", "comma-separated checkpoints"),
          _Option("replications", _int, None,
                  "replications (default: 1 in trajectory mode, 200 in scaling mode)"),
@@ -279,8 +273,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        for option in options + _OUTPUT:
+        for option in options + (_OUTPUT,):
             p.add_argument(_flag(option), default=None, help=_help(option))
+        # not an option: a config file cannot name another
+        p.add_argument("--config", help="JSON file supplying the same keys as the flags; "
+                       "flags override it")
     return parser
 
 
@@ -338,7 +335,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     _, options, handler = _COMMANDS[args.subcommand]
     try:
-        opts = _resolve(vars(args), options + _OUTPUT)
+        opts = _resolve(vars(args), options + (_OUTPUT,))
         _emit(handler(opts), opts)
     except (TailRatioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import CapabilityError, ParameterDomainError, check_int, check_real
 from .intervals import _ndtri
-from .records import _fmt
 from .rng import substream
 
 
@@ -89,11 +89,6 @@ class TailFamily:
         if self._sampler is not None:
             return self._sampler(rng, count)
         return self._require("_quantile", "sampler")(rng.random(count))
-
-    def spec_string(self):
-        """Round-trippable ``name:key=value,...`` form."""
-        inner = ",".join(f"{k}={_fmt(v)}" for k, v in self.params.items())
-        return f"{self.name}:{inner}"
 
 
 def make_pareto(alpha, xm=1.0):
@@ -198,7 +193,8 @@ def make_half_normal(sigma=1.0):
     c = np.sqrt(2.0 / np.pi) / s
 
     def pdf(x):
-        return c * np.exp(-0.5 * np.float64(x / s) ** 2)
+        y = x / s
+        return c * np.exp(-0.5 * (y * y))
 
     def cdf(x):
         return math.erf(x / (s * np.sqrt(2.0)))
@@ -264,11 +260,11 @@ def make_symmetric_stable(alpha, scale=1.0):
 
 
 _MAKERS = {
-    "pareto": (make_pareto, {"alpha", "xm"}),
-    "half_cauchy": (make_half_cauchy, {"scale"}),
-    "exponential": (make_exponential, {"rate"}),
-    "half_normal": (make_half_normal, {"sigma"}),
-    "stable": (make_symmetric_stable, {"alpha", "scale"}),
+    "pareto": make_pareto,
+    "half_cauchy": make_half_cauchy,
+    "exponential": make_exponential,
+    "half_normal": make_half_normal,
+    "stable": make_symmetric_stable,
 }
 
 
@@ -276,7 +272,10 @@ def parse_family_spec(spec):
     """Build a family from a ``name:key=value,key=value`` string.
 
     Parsing is case-insensitive; hyphens in the name are treated as
-    underscores.  Unknown names or keys raise
+    underscores.  The keys are the parameter names of the family's maker
+    (``make_pareto``'s ``alpha`` and ``xm``, and so on), and the maker's
+    defaults fill the keys left out.  An unknown name or key, or a missing
+    key that has no default, raises
     :class:`~tailratio.errors.ParameterDomainError`.
     """
     text = str(spec).strip().lower()
@@ -285,7 +284,8 @@ def parse_family_spec(spec):
     if name not in _MAKERS:
         known = ", ".join(sorted(_MAKERS))
         raise ParameterDomainError(f"unknown family {name!r} (known: {known})")
-    maker, allowed = _MAKERS[name]
+    maker = _MAKERS[name]
+    signature = inspect.signature(maker)
     kwargs = {}
     if rest.strip():
         for item in rest.split(","):
@@ -293,14 +293,15 @@ def parse_family_spec(spec):
             key = key.strip()
             if not sep or not key:
                 raise ParameterDomainError(f"malformed parameter {item!r} in {spec!r}")
-            if key not in allowed:
+            if key not in signature.parameters:
                 raise ParameterDomainError(
                     f"unknown parameter {key!r} for family {name!r}"
                 )
             kwargs[key] = value
     try:
-        return maker(**kwargs)
+        signature.bind(**kwargs)
     except TypeError:
         raise ParameterDomainError(
             f"family {name!r} is missing a required parameter in {spec!r}"
         ) from None
+    return maker(**kwargs)

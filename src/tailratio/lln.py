@@ -43,26 +43,25 @@ class ScalingResult:
     theory_slope: float | None
 
 
-def _increasing(values, name, need, hi=None):
-    """`values` as a list of at least `need` strictly increasing integers in [1, hi]."""
+def _increasing(values, name, need):
+    """`values` as a list of at least `need` strictly increasing positive integers."""
     out = []
     for v in values:
-        out.append(check_int(v, f"entry of {name}", out[-1] + 1 if out else 1, hi))
+        out.append(check_int(v, f"entry of {name}", out[-1] + 1 if out else 1))
     if len(out) < need:
         raise ParameterDomainError(f"too few {name}: need {need}, got {len(out)}")
     return out
 
 
-def running_mean_trajectory(family, total, checkpoints, seed, replication=0):
+def running_mean_trajectory(family, checkpoints, seed, replication=0):
     """Partial means of one sample stream, recorded at the checkpoints.
 
-    Replication r draws substream (seed, r), so no two (seed, replication)
-    pairs share a stream.  Streams the sample in fixed-size chunks, so
-    memory use is constant in `total`.  Deterministic given (family, seed,
-    replication).
+    The stream ends at the last checkpoint.  Replication r draws substream
+    (seed, r), so no two (seed, replication) pairs share a stream.  Streams
+    the sample in fixed-size chunks, so memory use is constant in the last
+    checkpoint.  Deterministic given the arguments.
     """
-    total = check_int(total, "total", 1)
-    cps = _increasing(checkpoints, "checkpoints", 1, total)
+    cps = _increasing(checkpoints, "checkpoints", 1)
     seed = check_seed(seed)
     replication = check_int(replication, "replication", 0)
     rng = substream(seed, replication)
@@ -71,7 +70,7 @@ def running_mean_trajectory(family, total, checkpoints, seed, replication=0):
     running_sum = 0.0
     drawn = 0
     while drawn < cps[-1]:
-        csum = running_sum + np.cumsum(family.sample_with(rng, min(_CHUNK, total - drawn)))
+        csum = running_sum + np.cumsum(family.sample_with(rng, min(_CHUNK, cps[-1] - drawn)))
         means += [csum[c - drawn - 1] / c for c in cps if drawn < c <= drawn + csum.size]
         drawn += csum.size
         running_sum = csum[-1]

@@ -343,7 +343,7 @@ class TestLLNDemo:
         code, out, _ = run_cli(
             [
                 "lln-demo", "--dist", "stable:alpha=1.5,scale=1",
-                "--mode", "trajectory", "--total", "1000",
+                "--mode", "trajectory",
                 "--checkpoints", "100,1000", "--replications", "2", "--seed", "3",
             ],
             capsys,
@@ -352,12 +352,23 @@ class TestLLNDemo:
         assert lines[0] == "n,replication,running_mean"
         assert len(lines) == 5
 
+    def test_trajectory_ends_at_its_last_checkpoint(self, capsys):
+        # the stream runs to its last checkpoint, however far that is
+        code, out, _ = run_cli(
+            ["lln-demo", "--dist", PARETO, "--mode", "trajectory",
+             "--checkpoints", "10,250000", "--seed", "1"],
+            capsys,
+        )
+        lines = out.strip().split("\n")
+        assert code == 0 and lines[0] == "n,replication,running_mean"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["10", "0"], ["250000", "0"]]
+
     def test_trajectories_of_adjacent_seeds_never_share_a_stream(self, capsys):
         # replication r of seed s draws substream (s, r), not the stream of s + r
         def trajectories(seed):
             code, out, _ = run_cli(
                 ["lln-demo", "--dist", "stable:alpha=0.6,scale=1", "--mode", "trajectory",
-                 "--total", "50", "--checkpoints", "1,50", "--replications", "3",
+                 "--checkpoints", "1,50", "--replications", "3",
                  "--seed", str(seed)],
                 capsys,
             )
@@ -411,6 +422,14 @@ class TestCommandOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
+    def test_lln_demo_has_no_total(self, capsys):
+        # a trajectory ends at its last checkpoint, so a stream length would say it twice
+        with pytest.raises(SystemExit) as exc:
+            main(["lln-demo", "--dist", "stable:alpha=0.6", "--mode", "trajectory",
+                  "--seed", "1", "--total", "1000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --total 1000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"lln-demo"}))
     def test_record_commands_take_format(self, command):
         assert cli.build_parser().parse_args([command, "--format", "csv"]).format == "csv"
@@ -423,6 +442,17 @@ class TestCommandOptions:
         )
         assert (code, out, err) == (
             2, "", "error: config key 'kapa' names no option of this subcommand\n"
+        )
+
+    def test_config_key_config(self, capsys, monkeypatch, tmp_path):
+        # a config file cannot name another, which would never be opened
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"config": "missing.json", "kappa": 0.3}))
+        code, out, err = run_cli(
+            ["detect", "--config", str(cfg)], capsys, stdin="1\n2\n10\n", monkeypatch=monkeypatch
+        )
+        assert (code, out, err) == (
+            2, "", "error: config key 'config' names no option of this subcommand\n"
         )
 
     def test_config_key_checked_after_hyphen_normalisation(self, capsys, tmp_path):

@@ -40,10 +40,9 @@ COUNTS = {
     "sample_with count": lambda v: PARETO.sample_with(substream(1), v),
     "sample seed": lambda v: PARETO.sample(3, v),
     "substream seed": lambda v: substream(v),
-    "total": lambda v: tr.running_mean_trajectory(PARETO, v, [1, 3], 1),
-    "checkpoint": lambda v: tr.running_mean_trajectory(PARETO, 5, [1, v], 1),
-    "trajectory seed": lambda v: tr.running_mean_trajectory(PARETO, 5, [1, 3], v),
-    "trajectory replication": lambda v: tr.running_mean_trajectory(PARETO, 5, [1, 3], 1, v),
+    "checkpoint": lambda v: tr.running_mean_trajectory(PARETO, [1, v], 1),
+    "trajectory seed": lambda v: tr.running_mean_trajectory(PARETO, [1, 3], v),
+    "trajectory replication": lambda v: tr.running_mean_trajectory(PARETO, [1, 3], 1, v),
     "ns entry": lambda v: tr.scaling_exponent_experiment(PARETO, [2, v], 2, 1),
     "replications": lambda v: tr.scaling_exponent_experiment(PARETO, [2, 3], v, 1),
     "scaling seed": lambda v: tr.scaling_exponent_experiment(PARETO, [2, 3], 2, v),

@@ -22,6 +22,11 @@ FULL_FAMILIES = [
 ]
 
 
+def spec_id(fam):
+    # the family as a spec string, name:key=value,...
+    return fam.name + ":" + ",".join(f"{k}={v:.17g}" for k, v in fam.params.items())
+
+
 def pointwise(form, xs):
     # the closed forms take one float: evaluate one along an array
     return np.array([form(x) for x in xs])
@@ -240,7 +245,7 @@ class TestSampling:
             tr.make_pareto(1, 1).sample(0, 1)
 
 
-@pytest.mark.parametrize("fam", FULL_FAMILIES, ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("fam", FULL_FAMILIES, ids=spec_id)
 class TestFullCapabilityInvariants:
     def test_cdf_shape(self, fam):
         grid = pointwise(fam.quantile, np.linspace(0.001, 0.999, 50))
@@ -326,7 +331,8 @@ class TestSpecStrings:
         ids=lambda f: f.name,
     )
     def test_spec_string_roundtrip(self, fam):
-        back = tr.parse_family_spec(fam.spec_string())
+        spec = fam.name + ":" + ",".join(f"{k}={v!r}" for k, v in fam.params.items())
+        back = tr.parse_family_spec(spec)
         assert back.name == fam.name and back.params == fam.params
 
     def test_case_insensitive(self):
@@ -358,3 +364,51 @@ class TestSpecStrings:
     def test_malformed(self):
         with pytest.raises(ParameterDomainError):
             tr.parse_family_spec("pareto:alpha")
+
+
+# family -> (keys without a default, keys with one)
+SPEC_KEYS = {
+    "pareto": (["alpha"], ["xm"]),
+    "half_cauchy": ([], ["scale"]),
+    "exponential": ([], ["rate"]),
+    "half_normal": ([], ["sigma"]),
+    "stable": (["alpha"], ["scale"]),
+}
+
+
+def test_every_family_has_its_spec_keys():
+    assert sorted(tr.families._MAKERS) == sorted(SPEC_KEYS)
+
+
+def half_spec(name, keys):
+    # a spec giving each of `keys` the value 0.5, valid for every family
+    return name + ":" + ",".join(f"{k}=0.5" for k in keys)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_KEYS))
+class TestSpecKeys:
+    def test_every_key_accepted(self, name):
+        keys = SPEC_KEYS[name][0] + SPEC_KEYS[name][1]
+        fam = tr.parse_family_spec(half_spec(name, keys))
+        assert fam.name == name and fam.params == dict.fromkeys(keys, 0.5)
+
+    def test_defaults_fill_the_keys_left_out(self, name):
+        required, optional = SPEC_KEYS[name]
+        fam = tr.parse_family_spec(half_spec(name, required))
+        assert fam.params == tr.families._MAKERS[name](*[0.5] * len(required)).params
+        assert set(fam.params) == set(required + optional)
+
+    def test_extra_key(self, name):
+        with pytest.raises(ParameterDomainError) as exc:
+            tr.parse_family_spec(half_spec(name, SPEC_KEYS[name][0] + ["beta"]))
+        assert str(exc.value) == f"unknown parameter 'beta' for family {name!r}"
+
+    def test_missing_required_key(self, name):
+        required, optional = SPEC_KEYS[name]
+        for missing in required:
+            spec = half_spec(name, [k for k in required + optional if k != missing])
+            with pytest.raises(ParameterDomainError) as exc:
+                tr.parse_family_spec(spec)
+            assert str(exc.value) == (
+                f"family {name!r} is missing a required parameter in {spec!r}"
+            )
