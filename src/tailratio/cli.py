@@ -321,7 +321,7 @@ def _emit(payload, opts):
     if isinstance(payload, str):
         text = payload
     elif opts.format == "csv":
-        text = records.to_csv(payload)
+        text = records.rows_to_csv(payload, [payload.values()])
     else:
         text = records.to_json(payload)
     if opts.output:

@@ -274,8 +274,8 @@ def parse_family_spec(spec):
     Parsing is case-insensitive; hyphens in the name are treated as
     underscores.  The keys are the parameter names of the family's maker
     (``make_pareto``'s ``alpha`` and ``xm``, and so on), and the maker's
-    defaults fill the keys left out.  An unknown name or key, or a missing
-    key that has no default, raises
+    defaults fill the keys left out.  An unknown name or key, a key given
+    twice, or a missing key that has no default, raises
     :class:`~tailratio.errors.ParameterDomainError`.
     """
     text = str(spec).strip().lower()
@@ -297,6 +297,8 @@ def parse_family_spec(spec):
                 raise ParameterDomainError(
                     f"unknown parameter {key!r} for family {name!r}"
                 )
+            if key in kwargs:
+                raise ParameterDomainError(f"parameter {key!r} given twice in {spec!r}")
             kwargs[key] = value
     try:
         signature.bind(**kwargs)

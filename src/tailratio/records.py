@@ -55,20 +55,12 @@ def to_json(record):
     return json.dumps(record) + "\n"
 
 
-def to_csv(record):
-    """One header row plus one value row."""
-    out = io.StringIO()
-    out.write(",".join(record.keys()) + "\n")
-    out.write(",".join(_fmt(v).replace(",", ";") for v in record.values()) + "\n")
-    return out.getvalue()
-
-
 def rows_to_csv(header, rows):
-    """Plot-ready CSV from an iterable of row tuples."""
+    """CSV from a header and an iterable of rows; a ',' in a cell becomes ';'."""
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+        out.write(",".join(_fmt(v).replace(",", ";") for v in row) + "\n")
     return out.getvalue()
 
 

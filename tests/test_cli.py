@@ -72,6 +72,13 @@ class TestKSigma:
         )
         assert json.loads(out)["indices"] == "3"
 
+    @pytest.mark.parametrize("top", ["1e308", "1e300"])
+    def test_large_values_flagged_without_warnings(self, capsys, monkeypatch, top):
+        code, out, err = run_cli(
+            ["ksigma", "--k", "1"], capsys, stdin=f"{top}\n{top}\n0\n", monkeypatch=monkeypatch
+        )
+        assert code == 0 and err == "" and json.loads(out)["indices"] == "2"
+
 
 class TestProbability:
     def test_limit(self, capsys):
@@ -170,6 +177,13 @@ class TestProbability:
         cfg.write_text(json.dumps({"dist": 5}))
         code, out, err = run_cli(["prob-exact", "--config", str(cfg), "--n", "10"], capsys)
         assert code == 2 and out == "" and "unknown family '5'" in err
+
+    def test_repeated_spec_key_exit_code(self, capsys):
+        code, out, err = run_cli(
+            ["prob-exact", "--dist", "pareto:alpha=1,alpha=2", "--n", "10"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --dist: parameter 'alpha' given twice in 'pareto:alpha=1,alpha=2'\n"
 
 
 class TestFormatsAndConfig:
@@ -378,6 +392,33 @@ class TestLLNDemo:
 
         ours, next_seed = trajectories(11), trajectories(12)
         assert all(a != b for a in ours for b in next_seed)
+
+    def test_trajectory_rows_do_not_depend_on_later_checkpoints(self, capsys):
+        def rows(checkpoints):
+            code, out, _ = run_cli(
+                ["lln-demo", "--dist", "stable:alpha=1.5", "--mode", "trajectory",
+                 "--seed", "3", "--checkpoints", checkpoints],
+                capsys,
+            )
+            assert code == 0
+            return out.split("\n")[1:3]
+
+        assert rows("10,1000") == rows("10,1000,150000")
+
+    def test_scaling_table_is_the_median_of_the_trajectory_rows(self, capsys):
+        def lines(mode, sizes):
+            code, out, _ = run_cli(
+                ["lln-demo", "--dist", "stable:alpha=0.6", "--mode", mode, sizes, "100,1000",
+                 "--replications", "3", "--seed", "2"],
+                capsys,
+            )
+            assert code == 0
+            return [line.split(",") for line in out.split("\n")[1:]]
+
+        trajectory = lines("trajectory", "--checkpoints")
+        for n, median in lines("scaling", "--ns")[:2]:
+            means = [abs(float(m)) for cp, _, m in trajectory[:-1] if cp == n]
+            assert float(median) == float(np.median(means))
 
     def test_requires_seed(self, capsys):
         code, _, _ = run_cli(

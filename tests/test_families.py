@@ -403,6 +403,13 @@ class TestSpecKeys:
             tr.parse_family_spec(half_spec(name, SPEC_KEYS[name][0] + ["beta"]))
         assert str(exc.value) == f"unknown parameter 'beta' for family {name!r}"
 
+    def test_repeated_key(self, name):
+        key = (SPEC_KEYS[name][0] + SPEC_KEYS[name][1])[0]
+        spec = half_spec(name, [key, key])
+        with pytest.raises(ParameterDomainError) as exc:
+            tr.parse_family_spec(spec)
+        assert str(exc.value) == f"parameter {key!r} given twice in {spec!r}"
+
     def test_missing_required_key(self, name):
         required, optional = SPEC_KEYS[name]
         for missing in required:

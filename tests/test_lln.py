@@ -61,6 +61,26 @@ class TestRunningMean:
             tr.running_mean_trajectory(fam, [100], seed=1)
 
 
+class TestOneStream:
+    """Replication r of the scaling table is trajectory r."""
+
+    @pytest.mark.parametrize("replications", [5, 6])
+    def test_scaling_medians_are_medians_of_trajectories(self, replications):
+        fam, ns = tr.make_pareto(1.5, 1.0), [100, 1000, 20000]  # 20000 spans two chunks
+        res = tr.scaling_exponent_experiment(fam, ns, replications, seed=9)
+        rows = [tr.running_mean_trajectory(fam, ns, 9, r).running_means
+                for r in range(replications)]
+        medians = tuple(float(np.median([abs(row[i] - fam.mean) for row in rows]))
+                        for i in range(len(ns)))
+        assert res.per_n_medians == medians
+
+    def test_scaling_row_does_not_depend_on_its_position(self):
+        fam = tr.make_symmetric_stable(0.6, 1.0)
+        short = tr.scaling_exponent_experiment(fam, [1000, 10000], 7, seed=1)
+        long = tr.scaling_exponent_experiment(fam, [100, 1000, 10000], 7, seed=1)
+        assert short.per_n_medians == long.per_n_medians[1:]
+
+
 class TestScalingExperiment:
     def test_deterministic(self):
         fam = tr.make_symmetric_stable(1.5, 1.0)

@@ -123,6 +123,16 @@ class TestKSigma:
         s_sample = data.std(ddof=1)
         assert 7.5 <= 2.0 * s_pop < 2.0 * s_sample
 
+    @pytest.mark.parametrize("data,flagged", [
+        ([1e308, 1e308, 0.0], {2}),
+        ([1e300, 1e300, 0.0], {2}),
+        # each square fits in a float, but the sum of eight does not
+        ([2.0**510.9, -2.0**510.9] * 4 + [0.0], set(range(8))),
+    ], ids=["1e308", "1e300", "sum"])
+    def test_squares_beyond_the_float_range(self, data, flagged):
+        # unscaled, a sum behind the mean or s overflows, and every index is hidden
+        assert tr.ksigma_outliers(data, 1.0) == flagged
+
     def test_bad_k(self):
         with pytest.raises(ParameterDomainError):
             tr.ksigma_outliers([1.0, 2.0], 0.0)
