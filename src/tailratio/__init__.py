@@ -38,6 +38,7 @@ from .lln import (
     running_mean_trajectory,
     scaling_exponent_experiment,
     theory_slope,
+    trajectories,
 )
 from .outliers import (
     OutlierVerdict,
@@ -97,5 +98,6 @@ __all__ = [
     "scaling_exponent_experiment",
     "theory_slope",
     "top_two_magnitudes",
+    "trajectories",
     "wilson_interval",
 ]

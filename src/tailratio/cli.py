@@ -5,8 +5,11 @@ baseline, the three probability routes plus the small-n oracle, the
 convergence-condition probe, tail-index estimation, and the running-mean
 experiments.  All numeric output is reproducible bit-for-bit from the flags:
 Monte Carlo subcommands require an explicit --seed (no silent entropy).
---threads is checked (an integer >= 1) but has no effect yet: every
-subcommand runs on one thread.
+--threads (an integer >= 1, by default the CPUs the process may use) sets
+the threads lln-demo runs its replications on; the output does not depend
+on it.  prob-mc accepts --threads but runs on one thread: its trials are
+short, and setting up each trial's generator holds the GIL, so threads
+would slow it down.
 
 Each subcommand is declared once in _COMMANDS: its help, its options and a
 handler that turns the resolved options into a record, which --format
@@ -76,8 +79,8 @@ _DIST = _Option("dist", lambda spec: parse_family_spec(spec), _REQUIRED,
                 "(e.g. pareto:alpha=1.5,xm=1 or stable:alpha=0.6,scale=1)")
 _N = _Option("n", _int, _REQUIRED, "sample size, >= 2")
 _SEED = _Option("seed", _int, _REQUIRED, "64-bit RNG seed; no silent entropy")
-_THREADS = _Option("threads", partial(_int, lo=1), 1,
-                   "worker threads, >= 1; accepted but has no effect yet")
+_THREADS = _Option("threads", partial(_int, lo=1), None,
+                   "worker threads, >= 1 (default: the usable CPUs)")
 # an option of the commands whose handler returns a record
 _FORMAT = _Option("format", str, "json", "output format", ("json", "csv"))
 _OUTPUT = _Option("output", str, None, "output file (default: stdout)")
@@ -162,13 +165,12 @@ def _estimate_alpha(opts):
 def _lln_demo(opts):
     if opts.mode == "trajectory":
         reps = 1 if opts.replications is None else opts.replications
-        rows = []
-        for r in range(reps):
-            series = lln.running_mean_trajectory(opts.dist, opts.checkpoints, opts.seed, r)
-            rows.extend((n, r, m) for n, m in zip(series.checkpoints, series.running_means))
+        series = lln.trajectories(opts.dist, opts.checkpoints, reps, opts.seed, opts.threads)
+        rows = [(n, r, m) for r, s in enumerate(series)
+                for n, m in zip(s.checkpoints, s.running_means)]
         return records.rows_to_csv(["n", "replication", "running_mean"], rows)
     reps = 200 if opts.replications is None else opts.replications
-    result = lln.scaling_exponent_experiment(opts.dist, opts.ns, reps, opts.seed)
+    result = lln.scaling_exponent_experiment(opts.dist, opts.ns, reps, opts.seed, opts.threads)
     table = records.rows_to_csv(["n", "median_abs_mean"], zip(result.ns, result.per_n_medians))
     slope = records.rows_to_csv(["slope", "theory_slope"], [(result.slope, result.theory_slope)])
     return table + slope
@@ -204,7 +206,7 @@ _COMMANDS = {
          _Option("trials", _int, 100_000, "number of samples"),
          _SEED,
          _Option("confidence", _real, 0.95, "Wilson interval level"),
-         _THREADS,
+         _THREADS._replace(help="accepted; prob-mc runs on one thread"),
          _FORMAT),
         _prob_mc,
     ),

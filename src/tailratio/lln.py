@@ -11,10 +11,15 @@ same exponent once its mean is taken off.
 
 Both experiments read one stream per replication: replication r of either
 draws substream (seed, r), and the scaling table is the median over r of
-the trajectories at its sample sizes.
+the trajectories at its sample sizes.  ``trajectories`` runs the
+replications on a thread pool: numpy releases the GIL while it samples and
+sums a chunk, and since each replication owns its stream and the pool
+keeps their order, the output does not depend on the number of threads.
 """
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,26 +85,44 @@ def running_mean_trajectory(family, checkpoints, seed, replication=0):
     return TrajectorySeries(checkpoints=tuple(cps), running_means=tuple(float(m) for m in means))
 
 
-def scaling_exponent_experiment(family, ns, replications, seed):
+def trajectories(family, checkpoints, replications, seed, threads=None):
+    """The trajectories ``running_mean_trajectory(family, checkpoints, seed, r)``.
+
+    One for each r in 0 .. replications - 1, listed in that order.  They
+    run on a pool of min(threads, replications, usable CPUs) threads, the
+    usable CPUs being those this process may run on; `threads` None means
+    all of them.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    replications = check_int(replications, "replications", 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = cpus if threads is None else check_int(threads, "threads", 1)
+    with ThreadPoolExecutor(min(threads, replications, cpus)) as pool:
+        run = partial(running_mean_trajectory, family, checkpoints, seed)
+        return list(pool.map(run, range(replications)))
+
+
+def scaling_exponent_experiment(family, ns, replications, seed, threads=None):
     """Estimate the growth exponent of |running mean| by replication.
 
     Replication r is the trajectory ``running_mean_trajectory(family, ns,
-    seed, r)``; the row of each sample size n is the median over r of
-    |running mean - mu|, where mu is the family's closed-form mean (0 when
-    it has none), and log(median) is least-squares fitted against log(n).
-    So a row depends only on (seed, replications, n), not on the other
-    sizes in `ns`.  Centring matters for the magnitude families: their mean
-    is positive, so the uncentred |mean| settles at it and the slope reads
-    0.  The median, not the mean, is taken across replications: |mean| has
+    seed, r)``, all of them drawn by ``trajectories`` on `threads` threads;
+    the row of each sample size n is the median over r of |running mean -
+    mu|, where mu is the family's closed-form mean (0 when it has none),
+    and log(median) is least-squares fitted against log(n).  So a row
+    depends only on (seed, replications, n), not on the other sizes in
+    `ns`.  Centring matters for the magnitude families: their mean is
+    positive, so the uncentred |mean| settles at it and the slope reads 0.
+    The median, not the mean, is taken across replications: |mean| has
     no finite expectation when the tail index is at most 1.
     """
     ns = _increasing(ns, "ns", 2)
-    replications = check_int(replications, "replications", 1)
     mu = 0.0 if family.mean is None else family.mean
 
-    trajectories = [running_mean_trajectory(family, ns, seed, r).running_means
-                    for r in range(replications)]
-    medians = [float(m) for m in np.median(np.abs(np.array(trajectories) - mu), axis=0)]
+    rows = [t.running_means for t in trajectories(family, ns, replications, seed, threads)]
+    medians = [float(m) for m in np.median(np.abs(np.array(rows) - mu), axis=0)]
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     alpha = family.params.get("alpha", family.tail_index)
     theory = theory_slope(alpha) if alpha is not None and alpha <= 2.0 else None

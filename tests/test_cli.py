@@ -420,6 +420,31 @@ class TestLLNDemo:
             means = [abs(float(m)) for cp, _, m in trajectory[:-1] if cp == n]
             assert float(median) == float(np.median(means))
 
+    def test_trajectory_output_does_not_depend_on_threads(self, capsys):
+        base = ["lln-demo", "--dist", "stable:alpha=1.5", "--mode", "trajectory",
+                "--checkpoints", "10,1000,15000", "--replications", "5", "--seed", "4"]
+        outs = {run_cli(base + threads, capsys)[1]
+                for threads in ([], ["--threads", "1"], ["--threads", "2"])}
+        assert len(outs) == 1 and outs.pop().count("\n") == 1 + 3 * 5
+
+    @pytest.mark.parametrize("mode", ["trajectory", "scaling"])
+    @pytest.mark.parametrize("replications", ["0", "-1"])
+    def test_replications_below_one_exit_code(self, capsys, mode, replications):
+        code, out, err = run_cli(
+            ["lln-demo", "--dist", PARETO, "--mode", mode, "--checkpoints", "10",
+             "--seed", "1", "--replications", replications],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert f"replications must be >= 1, got {replications}" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_code(self, capsys, threads):
+        code, out, err = run_cli(
+            ["lln-demo", "--dist", PARETO, "--seed", "1", "--threads", threads], capsys
+        )
+        assert code == 2 and out == "" and "--threads" in err
+
     def test_requires_seed(self, capsys):
         code, _, _ = run_cli(
             ["lln-demo", "--dist", "stable:alpha=0.6,scale=1"], capsys

@@ -1,5 +1,8 @@
 """Running-mean trajectories and the scaling-exponent experiment."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,69 @@ class TestOneStream:
         short = tr.scaling_exponent_experiment(fam, [1000, 10000], 7, seed=1)
         long = tr.scaling_exponent_experiment(fam, [100, 1000, 10000], 7, seed=1)
         assert short.per_n_medians == long.per_n_medians[1:]
+
+
+class TestTrajectories:
+    """The replications run on a thread pool, in order, whatever its size."""
+
+    @pytest.mark.parametrize("family", [tr.make_symmetric_stable(1.5), tr.make_pareto(1.5)],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("replications", [5, 1])  # odd, and fewer than the threads
+    def test_thread_count_does_not_change_the_trajectories(self, family, replications):
+        cps = [10, 1000, 15000]  # 15000 spans two chunks
+        serial = [tr.running_mean_trajectory(family, cps, 6, r) for r in range(replications)]
+        for threads in (1, 2, 3):
+            assert tr.trajectories(family, cps, replications, 6, threads) == serial
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The sizes of the pools made, by a fake pool that runs its tasks serially.
+
+        No thread is started, so a size as large as 10**6 is safe to ask for.
+        """
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize("threads,replications,workers", [
+        (10**6, 5, 3),  # capped by the usable CPUs
+        (10**6, 2, 2),  # and by the replications
+        (2, 5, 2),
+        (None, 5, 3),  # all usable CPUs by default
+        (None, 1, 1),
+    ])
+    def test_pool_size(self, monkeypatch, pool_sizes, threads, replications, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # CPUs the process may not use
+        series = tr.trajectories(constant_family(1.0), [10], replications, 1, threads)
+        assert pool_sizes == [workers] and len(series) == replications
+
+    def test_cpu_count_without_affinity(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        tr.trajectories(constant_family(1.0), [10], 5, 1, 10**6)
+        tr.trajectories(constant_family(1.0), [10], 5, 1)
+        assert pool_sizes == [4, 4]
+
+    @pytest.mark.parametrize("replications,threads", [(0, None), (-1, None), (2.5, None),
+                                                      (3, 0), (3, -1), (3, 1.5)])
+    def test_bad_counts(self, replications, threads):
+        with pytest.raises(ParameterDomainError):
+            tr.trajectories(constant_family(1.0), [10], replications, 1, threads)
 
 
 class TestScalingExperiment:
