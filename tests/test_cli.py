@@ -430,13 +430,40 @@ class TestLLNDemo:
     @pytest.mark.parametrize("mode", ["trajectory", "scaling"])
     @pytest.mark.parametrize("replications", ["0", "-1"])
     def test_replications_below_one_exit_code(self, capsys, mode, replications):
+        sizes = {"trajectory": ["--checkpoints", "10"], "scaling": ["--ns", "10,20"]}[mode]
         code, out, err = run_cli(
-            ["lln-demo", "--dist", PARETO, "--mode", mode, "--checkpoints", "10",
+            ["lln-demo", "--dist", PARETO, "--mode", mode, *sizes,
              "--seed", "1", "--replications", replications],
             capsys,
         )
         assert code == 2 and out == ""
         assert f"replications must be >= 1, got {replications}" in err
+
+    @pytest.mark.parametrize("mode,key,owner", [("trajectory", "ns", "scaling"),
+                                                ("scaling", "checkpoints", "trajectory")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_other_modes_size_exit_code(self, capsys, tmp_path, mode, key, owner, source):
+        # a size the mode does not read is refused, not ignored
+        argv = ["lln-demo", "--dist", PARETO, "--mode", mode, "--seed", "1"]
+        if source == "flag":
+            argv += [f"--{key}", "10,20"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: "10,20"}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{key} belongs to --mode {owner}, not --mode {mode}\n"
+
+    @pytest.mark.parametrize("mode,sizes,extra", [
+        ("trajectory", ["--checkpoints", "100,1000,10000,100000"], []),
+        ("scaling", ["--ns", "1000,10000,100000"], ["--replications", "5"]),
+    ])
+    def test_default_sizes(self, capsys, mode, sizes, extra):
+        # a mode's sizes left out are its default sizes
+        base = ["lln-demo", "--dist", PARETO, "--mode", mode, "--seed", "1", *extra]
+        default = run_cli(base, capsys)
+        assert default[0] == 0 and default == run_cli(base + sizes, capsys)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_code(self, capsys, threads):

@@ -201,6 +201,81 @@ class TestSymmetricStable:
             tr.make_symmetric_stable(alpha, 1.0)
 
 
+def textbook_stable(u, e, alpha, scale):
+    """Chambers-Mallows-Stuck as printed, with sin and cos."""
+    return (scale * np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
+
+
+class DrawsGiven:
+    """A generator stand-in whose uniforms and exponentials are the given arrays."""
+
+    def __init__(self, u, e):
+        self.u, self.e = np.array(u, dtype=float), np.array(e, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert (low, high, size) == (-np.pi / 2.0, np.pi / 2.0, self.u.size)
+        return self.u.copy()
+
+    def standard_exponential(self, size):
+        assert size == self.e.size
+        return self.e.copy()
+
+
+def assert_relatively_close(x, ref, rel):
+    # finite on the same draws; the same value where not finite, within rel where finite
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(x), finite)
+    assert np.array_equal(x[~finite], ref[~finite])
+    assert np.all(np.abs(x[finite] - ref[finite]) <= rel * np.abs(ref[finite]))
+
+
+STABLE_ALPHAS = [0.05, 0.1, 0.3, 0.6, 0.9, 1.2, 1.5, 1.9, 2.0]
+
+
+class TestStableSampler:
+    """The tan-only sampler is the textbook transform on the same draws."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", STABLE_ALPHAS)
+    def test_textbook_transform(self, alpha, scale):
+        count = 10**5
+        x = tr.make_symmetric_stable(alpha, scale).sample_with(substream(17, 3), count)
+        rng = substream(17, 3)
+        u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, count)
+        e = rng.standard_exponential(count)
+        assert_relatively_close(x, textbook_stable(u, e, alpha, scale), 4e-15 / min(alpha, 1.0))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", STABLE_ALPHAS)
+    def test_chosen_draws(self, alpha, scale):
+        # -pi/2 is a value uniform(-pi/2, pi/2) can return; pi/2 is not
+        edge = np.nextafter(np.pi / 2.0, 0.0)
+        u = np.repeat([-np.pi / 2.0, -1e-300, 0.0, 1e-300, edge], 3)
+        e = np.tile([0.25, 1.0, 4.0], 5)
+        with np.errstate(over="ignore", divide="ignore"):
+            x = tr.make_symmetric_stable(alpha, scale).sample_with(DrawsGiven(u, e), u.size)
+            ref = textbook_stable(u, e, alpha, scale)
+        assert_relatively_close(x, ref, 4e-15 / min(alpha, 1.0))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_cauchy_is_scale_times_tan(self, scale):
+        x = tr.make_symmetric_stable(1.0, scale).sample_with(substream(5), 1000)
+        u = substream(5).uniform(-np.pi / 2.0, np.pi / 2.0, 1000)
+        assert np.array_equal(x, scale * np.tan(u))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.5, 2.0])
+    def test_characteristic_function(self, alpha, scale):
+        # a symmetric stable law has E cos(tX) = exp(-|scale t|**alpha)
+        count = 2 * 10**5
+        x = tr.make_symmetric_stable(alpha, scale).sample(count, 11)
+        for t in (0.5, 1.0, 2.0):
+            c = np.cos(t * x)
+            z = (c.mean() - math.exp(-abs(scale * t) ** alpha)) / (c.std() / math.sqrt(count))
+            assert abs(z) < 4.5, (t, z)
+
+
 class TestSampling:
     def test_determinism(self):
         fam = tr.make_pareto(1.0, 1.0)
