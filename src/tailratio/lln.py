@@ -74,7 +74,7 @@ def running_mean_trajectory(family, checkpoints, seed, replication=0):
     on the checkpoints around it.
     """
     cps = _increasing(checkpoints, "checkpoints", 1)
-    rng = substream(check_seed(seed), check_int(replication, "replication", 0))
+    rng = substream(check_seed(seed), check_int(replication, "replication", 0, 2**64 - 1))
 
     means = []
     running_sum = 0.0

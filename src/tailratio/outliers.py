@@ -58,7 +58,7 @@ def _finite_values(data, need, purpose):
 
 
 def _top_two(mags):
-    """(second, largest) along the last axis of a 1-D or (rows, n) array."""
+    """(second, largest) of each row of a (rows, n) array."""
     part = np.partition(mags, -2).T
     return part[-2], part[-1]
 
@@ -66,6 +66,11 @@ def _top_two(mags):
 def _event(second, largest, kappa):
     """The outlier event of order 1/kappa; non-strict, so ties count."""
     return second <= kappa * largest
+
+
+def _count_events(mags, kappa):
+    """How many rows of the (rows, n) magnitudes hold the outlier event."""
+    return int(np.count_nonzero(_event(*_top_two(mags), kappa)))
 
 
 def top_two_magnitudes(data):
@@ -149,5 +154,4 @@ def block_event_frequency(data, block_size, kappa):
     x = _finite_values(data, n, "for one full block")
     blocks = x.size // n
     mags = np.abs(x[: blocks * n]).reshape(blocks, n)
-    hits = _event(*_top_two(mags), kappa)
-    return float(hits.mean()), blocks
+    return _count_events(mags, kappa) / blocks, blocks

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, SingularityError, check_int, check_real
 from .intervals import wilson_interval
-from .outliers import _event, _top_two, check_kappa
+from .outliers import _count_events, check_kappa
 from .rng import check_seed, substream
 
 # clipping u at the last float below 1 keeps quantile() finite; the
@@ -46,6 +46,10 @@ _U_MAX = 1.0 - 1e-16
 # epsrel / 10 and 200
 _EXACT_EPSABS, _EXACT_EPSREL, _EXACT_LIMIT = 1e-10, 1e-8, 1000
 _ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT = 1e-9, 1e-9, 500
+
+# mc_probability counts events over blocks of samples of at most this many
+# values (64 KiB), at least one sample a block
+_MC_BLOCK_VALUES = 2**13
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,8 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
 
     Each trial draws its own substream from (seed, trial index), so the
     estimate is bit-identical for a given seed no matter how trials are
-    scheduled; the reduction is an exact event count.
+    scheduled; the reduction is an exact event count, taken over a block
+    of consecutive trials at a time.
     """
     n = check_int(n, "n", 2)
     kappa = check_kappa(kappa)
@@ -159,11 +164,14 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     seed = check_seed(seed)
     confidence = check_real(confidence, "confidence", 0, 1)
 
+    block = np.empty((max(1, _MC_BLOCK_VALUES // n), n))
     hits = 0
-    for i in range(trials):
-        mags = np.abs(family.sample_with(substream(seed, i), n))
-        if _event(*_top_two(mags), kappa):
-            hits += 1
+    for start in range(0, trials, len(block)):
+        mags = block[: min(len(block), trials - start)]
+        for row, i in enumerate(range(start, start + len(mags))):
+            mags[row] = family.sample_with(substream(seed, i), n)
+        np.abs(mags, out=mags)
+        hits += _count_events(mags, kappa)
     p_hat = hits / trials
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
     ci = wilson_interval(p_hat, trials, confidence)

@@ -40,6 +40,7 @@ COUNTS = {
     "sample_with count": lambda v: PARETO.sample_with(substream(1), v),
     "sample seed": lambda v: PARETO.sample(3, v),
     "substream seed": lambda v: substream(v),
+    "substream index": lambda v: substream(1, v),
     "checkpoint": lambda v: tr.running_mean_trajectory(PARETO, [1, v], 1),
     "trajectory seed": lambda v: tr.running_mean_trajectory(PARETO, [1, 3], v),
     "trajectory replication": lambda v: tr.running_mean_trajectory(PARETO, [1, 3], 1, v),
@@ -97,6 +98,20 @@ def test_count_accepts_integral_numbers(name, good):
 def test_real_refuses_booleans_and_nan(name, bad):
     with pytest.raises(ParameterDomainError):
         REALS[name](bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64], ids=repr)
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_substream_index_is_64_bit(bad, place):
+    index = [1, 2, 3]
+    index[place] = bad
+    with pytest.raises(ParameterDomainError, match=r"^index must be in 0\.\.18446744073709551615"):
+        substream(1, *index)
+
+
+def test_replication_is_named_past_64_bits():
+    with pytest.raises(ParameterDomainError, match=r"^replication must be in 0\.\."):
+        tr.running_mean_trajectory(PARETO, [1, 3], 1, 2**64)
 
 
 def test_check_int_range():

@@ -3,6 +3,8 @@
 No command loads any scipy module: numpy is the only runtime dependency.
 Quadrature, the normal quantile and the half-normal family's erf are the
 library's own or the standard library's; scipy is only the tests' reference.
+A command that draws no random numbers loads no numpy.random module either;
+one that draws does, which shows that the check can see it.
 
 Each case runs in a fresh interpreter, because sys.modules keeps whatever an
 earlier import in the test process loaded.
@@ -57,12 +59,15 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = tailratio.cli.main(argv)
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
+# the cases that draw random numbers
+DRAWS = {c for c in CASES if c.startswith(("lln-demo", "prob-mc"))}
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_scipy_modules_loaded(case, tmp_path):
+
+def _modules_loaded(case, tmp_path):
+    """Every module in sys.modules after `case` ran in a fresh interpreter."""
     argv = CASES[case]
     data = tmp_path / "data.txt"
     pareto = (1.0 - np.random.default_rng(3).random(200)) ** (-1.0 / 1.5)
@@ -75,7 +80,18 @@ def test_scipy_modules_loaded(case, tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scipy_modules_loaded(case, tmp_path):
+    assert [m for m in _modules_loaded(case, tmp_path) if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_numpy_random_loaded_only_to_draw(case, tmp_path):
+    loaded = _modules_loaded(case, tmp_path)
+    assert any(m.split(".")[:2] == ["numpy", "random"] for m in loaded) == (case in DRAWS)
 
 
 # the package's __init__ imports names to re-export them

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tailratio as tr
@@ -96,8 +96,10 @@ class TestIsOutlier:
     @settings(max_examples=200)
     def test_scale_invariance(self, data, log2_c, sign):
         # power-of-two scaling is exact in binary floating point, so the
-        # ratio event must be bit-for-bit unchanged
+        # ratio event must be bit-for-bit unchanged; scaling down a subnormal
+        # can round (5e-324 / 2 is 0), which breaks that premise
         c = 2.0**log2_c
+        assume(all(sign * c * v / c / sign == v for v in data))
         scaled = [sign * c * v for v in data]
         assert (
             tr.is_outlier(scaled, 0.5).is_outlier

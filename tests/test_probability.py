@@ -12,6 +12,7 @@ from tailratio.errors import (
     SingularityError,
 )
 from tailratio.families import TailFamily
+from tailratio.rng import substream
 
 
 def spec_id(fam):
@@ -146,6 +147,16 @@ class TestMonteCarlo:
         exact = tr.exact_probability(fam, 50, 0.5).value
         r = tr.mc_probability(fam, 50, 0.5, 10**4, seed=99)
         assert abs(r.value - exact) < 3.0 * max(r.error_estimate, 1e-4)
+
+    @pytest.mark.parametrize("n, trials", [(2, 4097), (50, 163), (50, 164), (50, 1025),
+                                           (9000, 3)])
+    def test_counts_every_trial_once(self, n, trials):
+        # events are counted a block of 2**13 // n trials at a time; the count
+        # must equal the trial-by-trial one, whatever block the last trial ends
+        fam = tr.make_half_cauchy(1.0)
+        hits = sum(tr.is_outlier(fam.sample_with(substream(3, i), n), 0.5).is_outlier
+                   for i in range(trials))
+        assert tr.mc_probability(fam, n, 0.5, trials, seed=3).value == hits / trials
 
     def test_missing_sampler(self):
         fam = TailFamily(name="nosampler", _pdf=lambda x: x)
