@@ -164,20 +164,13 @@ def _estimate_alpha(opts):
 
 
 def _lln_demo(opts):
-    trajectory = opts.mode == "trajectory"
-    if (opts.ns if trajectory else opts.checkpoints) is not None:
-        flag, mode = ("--ns", "scaling") if trajectory else ("--checkpoints", "trajectory")
-        raise ParameterDomainError(f"{flag} belongs to --mode {mode}, not --mode {opts.mode}")
-    if trajectory:
-        checkpoints = [100, 1000, 10000, 100000] if opts.checkpoints is None else opts.checkpoints
+    if opts.mode == "trajectory":
         reps = 1 if opts.replications is None else opts.replications
-        series = lln.trajectories(opts.dist, checkpoints, reps, opts.seed, opts.threads)
-        rows = [(n, r, m) for r, s in enumerate(series)
-                for n, m in zip(s.checkpoints, s.running_means)]
+        series = lln.trajectories(opts.dist, opts.ns, reps, opts.seed, opts.threads)
+        rows = [(n, r, m) for r, s in enumerate(series) for n, m in zip(s.ns, s.running_means)]
         return records.rows_to_csv(["n", "replication", "running_mean"], rows)
-    ns = [1000, 10000, 100000] if opts.ns is None else opts.ns
     reps = 200 if opts.replications is None else opts.replications
-    result = lln.scaling_exponent_experiment(opts.dist, ns, reps, opts.seed, opts.threads)
+    result = lln.scaling_exponent_experiment(opts.dist, opts.ns, reps, opts.seed, opts.threads)
     table = records.rows_to_csv(["n", "median_abs_mean"], zip(result.ns, result.per_n_medians))
     slope = records.rows_to_csv(["slope", "theory_slope"], [(result.slope, result.theory_slope)])
     return table + slope
@@ -247,13 +240,10 @@ _COMMANDS = {
         "running-mean trajectories / scaling-exponent experiment",
         (_DIST,
          _Option("mode", str, "scaling", "experiment", ("trajectory", "scaling")),
-         _Option("checkpoints", _int_list, None,
-                 "comma-separated checkpoints, trajectory mode only "
-                 "(default: 100,1000,10000,100000)"),
+         _Option("ns", _int_list, "1000,10000,100000",
+                 "comma-separated sample sizes, increasing"),
          _Option("replications", _int, None,
                  "replications (default: 1 in trajectory mode, 200 in scaling mode)"),
-         _Option("ns", _int_list, None,
-                 "comma-separated sample sizes, scaling mode only (default: 1000,10000,100000)"),
          _SEED,
          _THREADS),
         _lln_demo,

@@ -3,9 +3,8 @@
 Each family describes the law of a magnitude ``|X|`` on ``[0, inf)`` through
 whatever closed forms it admits (density, CDF, density derivative, quantile)
 plus a reproducible sampler.  Every family but ``stable`` (the signed ``X``)
-samples ``|X|``, by inverse transform unless it has a sampler of its own:
-``half_cauchy`` folds ``tan`` of a uniform and ``half_normal`` takes
-``sigma * |Z|`` of standard normals ``Z``.
+samples ``|X|``, by inverse transform, ``quantile`` of uniforms, except
+``half_normal``, which takes ``sigma * |Z|`` of standard normals ``Z``.
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
@@ -145,9 +144,6 @@ def make_half_cauchy(scale=1.0):
     def quantile(u):
         return s * np.tan(np.pi * u / 2.0)
 
-    def sampler(rng, size):
-        return np.abs(s * np.tan(np.pi * (rng.random(size) - 0.5)))
-
     return TailFamily(
         name="half_cauchy",
         params={"scale": s},
@@ -156,7 +152,6 @@ def make_half_cauchy(scale=1.0):
         _cdf=cdf,
         _pdf_derivative=pdf_derivative,
         _quantile=quantile,
-        _sampler=sampler,
     )
 
 

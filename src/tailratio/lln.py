@@ -9,12 +9,13 @@ exponent as the log-log slope of the median |running mean - mean| against
 n; a regularly varying tail with 1 < alpha < 2, such as Pareto, has the
 same exponent once its mean is taken off.
 
-Both experiments read one stream per replication: replication r of either
-draws substream (seed, r), and the scaling table is the median over r of
-the trajectories at its sample sizes.  ``trajectories`` runs the
-replications on a thread pool: numpy releases the GIL while it samples and
-sums a chunk, and since each replication owns its stream and the pool
-keeps their order, the output does not depend on the number of threads.
+Both experiments read one stream per replication at the same sample sizes
+`ns`: replication r of either draws substream (seed, r), and the scaling
+table is the median over r of the trajectories at those sizes.
+``trajectories`` runs the replications on a thread pool: numpy releases
+the GIL while it samples and sums a chunk, and since each replication owns
+its stream and the pool keeps their order, the output does not depend on
+the number of threads.
 """
 
 import os
@@ -33,9 +34,9 @@ _CHUNK = 10_000
 
 @dataclass(frozen=True)
 class TrajectorySeries:
-    """Running means of one deterministic sample stream at checkpoints."""
+    """Running means of one deterministic sample stream at the sizes `ns`."""
 
-    checkpoints: tuple
+    ns: tuple
     running_means: tuple
 
 
@@ -64,30 +65,30 @@ def _increasing(values, name, need):
     return out
 
 
-def running_mean_trajectory(family, checkpoints, seed, replication=0):
-    """Partial means of one sample stream, recorded at the checkpoints.
+def running_mean_trajectory(family, ns, seed, replication=0):
+    """Partial means of one sample stream, recorded at each size n in `ns`.
 
     Replication r draws substream (seed, r), so no two (seed, replication)
     pairs share a stream.  The stream is drawn in whole chunks of _CHUNK
-    values up to the last checkpoint, so memory use is constant in it, and
-    the mean at a checkpoint n depends only on (seed, replication, n), not
-    on the checkpoints around it.
+    values up to the last size, so memory use is constant in it, and the
+    mean at a size n depends only on (seed, replication, n), not on the
+    sizes around it.
     """
-    cps = _increasing(checkpoints, "checkpoints", 1)
+    ns = _increasing(ns, "ns", 1)
     rng = substream(check_seed(seed), check_int(replication, "replication", 0, 2**64 - 1))
 
     means = []
     running_sum = 0.0
-    for drawn in range(0, cps[-1], _CHUNK):
+    for drawn in range(0, ns[-1], _CHUNK):
         csum = np.cumsum(family.sample_with(rng, _CHUNK))
-        means += [(running_sum + csum[c - drawn - 1]) / c
-                  for c in cps if drawn < c <= drawn + _CHUNK]
+        means += [(running_sum + csum[n - drawn - 1]) / n
+                  for n in ns if drawn < n <= drawn + _CHUNK]
         running_sum += csum[-1]
-    return TrajectorySeries(checkpoints=tuple(cps), running_means=tuple(float(m) for m in means))
+    return TrajectorySeries(ns=tuple(ns), running_means=tuple(float(m) for m in means))
 
 
-def trajectories(family, checkpoints, replications, seed, threads=None):
-    """The trajectories ``running_mean_trajectory(family, checkpoints, seed, r)``.
+def trajectories(family, ns, replications, seed, threads=None):
+    """The trajectories ``running_mean_trajectory(family, ns, seed, r)``.
 
     One for each r in 0 .. replications - 1, listed in that order.  They
     run on a pool of min(threads, replications, usable CPUs) threads, the
@@ -101,7 +102,7 @@ def trajectories(family, checkpoints, replications, seed, threads=None):
             else os.cpu_count() or 1)
     threads = cpus if threads is None else check_int(threads, "threads", 1)
     with ThreadPoolExecutor(min(threads, replications, cpus)) as pool:
-        run = partial(running_mean_trajectory, family, checkpoints, seed)
+        run = partial(running_mean_trajectory, family, ns, seed)
         return list(pool.map(run, range(replications)))
 
 

@@ -41,10 +41,12 @@ from .rng import check_seed, substream
 # integrand is continuous there so the value change is below roundoff
 _U_MAX = 1.0 - 1e-16
 
-# QUADPACK's (epsabs, epsrel, limit) for exact_probability's integral and
-# for the oracle's outer integral; its inner integrals take epsabs / 100,
-# epsrel / 10 and 200
-_EXACT_EPSABS, _EXACT_EPSREL, _EXACT_LIMIT = 1e-10, 1e-8, 1000
+# QUADPACK's (epsrel, limit) for exact_probability's integral, which takes
+# epsabs 0: an absolute floor would pass a P below it with a bound larger
+# than P itself
+_EXACT_EPSREL, _EXACT_LIMIT = 1e-8, 1000
+# (epsabs, epsrel, limit) for the oracle's outer integral; its inner
+# integrals take epsabs / 100, epsrel / 10 and 200
 _ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT = 1e-9, 1e-9, 500
 
 # mc_probability counts events over blocks of samples of at most this many
@@ -114,7 +116,8 @@ def exact_probability(family, n, kappa):
     is raised on first use.
 
     Raises :class:`AccuracyError` (carrying the best estimate and QUADPACK's
-    `ier`) if the quadrature misses its tolerance.
+    `ier`) if the quadrature misses its tolerance, which is relative only:
+    the error bound must stay below 1e-8 * |P|, however small P is.
     """
     # here, so commands that never integrate skip loading the quadrature module
     from ._quadpack import quad
@@ -133,9 +136,9 @@ def exact_probability(family, n, kappa):
             return 0.0
         return float(family.pdf(x / kappa)) / den
 
-    q = quad(integrand, 0.0, 1.0, _EXACT_EPSABS, _EXACT_EPSREL, _EXACT_LIMIT)
+    q = quad(integrand, 0.0, 1.0, 0.0, _EXACT_EPSREL, _EXACT_LIMIT)
     value, err = q.value, q.abserr
-    if reason := _shortfall(q, _EXACT_EPSABS, _EXACT_EPSREL):
+    if reason := _shortfall(q, 0.0, _EXACT_EPSREL):
         raise AccuracyError(
             f"quadrature {reason}", best_estimate=value, error_estimate=err, ier=q.ier
         )

@@ -67,7 +67,8 @@ def rows_to_csv(header, rows):
 def read_values(path=None):
     """Read newline-delimited numbers from a file path or standard input.
 
-    '#' starts a comment anywhere on a line; blank lines are ignored.  Returns
+    The input is UTF-8, with or without a byte-order mark.  '#' starts a
+    comment anywhere on a line; blank lines are ignored.  Returns
     a 1-D float64 array.  numpy's C parser reads the input; a line it refuses,
     or a value that is not finite (``nan``, ``inf`` or one too large for a
     float), sends the input through float() line by line, which names the
@@ -83,7 +84,7 @@ def read_values(path=None):
 
     def lines():
         # the input is read once, so a pipe can be parsed twice
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
 
     try:
         with warnings.catch_warnings():

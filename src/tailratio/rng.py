@@ -3,23 +3,21 @@
 All randomness in the library flows through numpy's PCG64 generator seeded
 from an explicit 64-bit integer.  Substream `index` of `seed` (one per
 Monte Carlo trial or experiment replication) is the PCG64 stream that
-``numpy.random.SeedSequence(seed, spawn_key=index)`` seeds, bit for bit, so
-a given (seed, index) pair always yields the same stream no matter how many
-workers run or in which order trials execute.  Each index component is an
+``numpy.random.SeedSequence(seed, spawn_key=(index,))`` seeds, bit for bit,
+so a given (seed, index) pair always yields the same stream no matter how
+many workers run or in which order trials execute.  The index is an
 integer in 0..2**64 - 1, like the seed.
 
 SeedSequence hashes its words one at a time in Python-level code: 17 us a
 substream, over half of a 32 us trial of a 50-value half-Cauchy Monte
 Carlo (medians of 6 processes on a 2-vCPU Xeon, numpy 2.4).  So the four
-words it hands PCG64 are computed here instead, for 1024 consecutive values
-of the last index component at once in numpy uint64 arithmetic.  The
-computation starts from the pool of ``SeedSequence(seed,
-spawn_key=index[:-1])``, which is numpy's own mixing of the seed and the
-prefix, then continues SeedSequence's hashmix/mix over the last
-component's 32-bit words and finishes with its output hash.  A hash
-constant depends only on how many words were hashed before it.  The two
-latest blocks are cached, and a substream costs 3.7 us, most of it PCG64's
-own construction.
+words it hands PCG64 are computed here instead, for 1024 consecutive
+indices at once in numpy uint64 arithmetic.  The computation starts from
+the pool of ``SeedSequence(seed)``, which is numpy's own mixing of the
+seed, then continues SeedSequence's hashmix/mix over the index's 32-bit
+words and finishes with its output hash.  A hash constant depends only on
+how many words were hashed before it.  The two latest blocks are cached,
+and a substream costs 3.7 us, most of it PCG64's own construction.
 """
 
 from functools import cache, lru_cache
@@ -28,8 +26,8 @@ import numpy as np
 
 from .errors import check_int
 
-# last-index values hashed together; 2**32 is a multiple, so every value of
-# a block has the same number of 32-bit words
+# indices hashed together; 2**32 is a multiple, so every index of a block
+# has the same number of 32-bit words
 _BLOCK = 1024
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -50,17 +48,16 @@ def _hash_constants(first, mult, skip, count):
 
 
 @lru_cache(maxsize=2)
-def _block_state(seed, prefix, block):
-    """The words SeedSequence(seed, spawn_key=prefix + (i,)) hands PCG64.
+def _block_state(seed, block):
+    """The words SeedSequence(seed, spawn_key=(i,)) hands PCG64.
 
     One read-only uint64 row of 4 for each i in block*1024 .. block*1024 + 1023.
     """
-    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool.astype(np.uint64)[:, None]
-    last = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
-    words = [last & _MASK] + ([last >> 32] if block * _BLOCK >> 32 else [])
-    # the pool's 4 words and their 12 cross mixes, then 4 hashes a prefix word
-    hashed = 16 + 4 * sum(1 + (v >> 32 > 0) for v in prefix)
-    h = _hash_constants(_INIT_A, _MULT_A, hashed, 4 * len(words) + 1)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    index = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
+    words = [index & _MASK] + ([index >> 32] if block * _BLOCK >> 32 else [])
+    # the pool's 4 words and their 12 cross mixes have taken 16 hash constants
+    h = _hash_constants(_INIT_A, _MULT_A, 16, 4 * len(words) + 1)
     for k, word in enumerate(words):  # hashmix(word), mixed into each pool word
         y = (word ^ h[4 * k : 4 * k + 4]) * h[4 * k + 1 : 4 * k + 5] & _MASK
         y ^= y >> 16
@@ -92,19 +89,18 @@ def _state_seed():
     return StateSeed
 
 
-def substream(seed, *index):
-    """PCG64 generator for substream `index` (zero or more ints) of `seed`.
+def substream(seed, index=None):
+    """PCG64 generator for substream `index` of `seed`.
 
-    With no index this is the base stream of `seed`.  Each index component,
-    like the seed, is an integer in 0..2**64 - 1, else ParameterDomainError.
+    With no index this is the base stream of `seed`.  The index, like the
+    seed, is an integer in 0..2**64 - 1, else ParameterDomainError.
 
     Distinct indices give statistically independent streams; the mapping is
     pure, so parallel callers may derive the same substream independently.
     """
     seed = check_seed(seed)
-    if not index:
+    if index is None:
         return np.random.default_rng(np.random.SeedSequence(seed))
-    *prefix, last = [check_int(v, "index", 0, 2**64 - 1) for v in index]
-    block, row = divmod(last, _BLOCK)
-    state = _block_state(seed, tuple(prefix), block)[row]
+    block, row = divmod(check_int(index, "index", 0, 2**64 - 1), _BLOCK)
+    state = _block_state(seed, block)[row]
     return np.random.Generator(np.random.PCG64(_state_seed()(state)))

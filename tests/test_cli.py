@@ -149,6 +149,18 @@ class TestProbability:
         assert code == 5 and out == ""
         assert "ier 2: round-off" in err
 
+    @pytest.mark.parametrize("dist,n,kappa", [
+        ("half_normal:sigma=1", "10", "0.1"),  # P is 3.4676e-7
+        ("exponential:rate=1", "1000000000000", "0.5"),  # P is 2/(n+1)
+    ])
+    def test_small_value_out_of_reach_exit_code(self, capsys, dist, n, kappa):
+        # a value the quadrature cannot bound within 1e-8 of itself is exit 5,
+        # not a wrong value
+        code, out, err = run_cli(
+            ["prob-exact", "--dist", dist, "--n", n, "--kappa", kappa], capsys
+        )
+        assert code == 5 and out == "" and "best estimate" in err
+
     def test_oracle_accuracy_failure_exit_code(self, capsys):
         code, out, err = run_cli(
             ["prob-oracle", "--dist", "pareto:alpha=0.3", "--n", "8", "--kappa", "0.5"],
@@ -358,7 +370,7 @@ class TestLLNDemo:
             [
                 "lln-demo", "--dist", "stable:alpha=1.5,scale=1",
                 "--mode", "trajectory",
-                "--checkpoints", "100,1000", "--replications", "2", "--seed", "3",
+                "--ns", "100,1000", "--replications", "2", "--seed", "3",
             ],
             capsys,
         )
@@ -370,7 +382,7 @@ class TestLLNDemo:
         # the stream runs to its last checkpoint, however far that is
         code, out, _ = run_cli(
             ["lln-demo", "--dist", PARETO, "--mode", "trajectory",
-             "--checkpoints", "10,250000", "--seed", "1"],
+             "--ns", "10,250000", "--seed", "1"],
             capsys,
         )
         lines = out.strip().split("\n")
@@ -382,7 +394,7 @@ class TestLLNDemo:
         def trajectories(seed):
             code, out, _ = run_cli(
                 ["lln-demo", "--dist", "stable:alpha=0.6,scale=1", "--mode", "trajectory",
-                 "--checkpoints", "1,50", "--replications", "3",
+                 "--ns", "1,50", "--replications", "3",
                  "--seed", str(seed)],
                 capsys,
             )
@@ -394,10 +406,10 @@ class TestLLNDemo:
         assert all(a != b for a in ours for b in next_seed)
 
     def test_trajectory_rows_do_not_depend_on_later_checkpoints(self, capsys):
-        def rows(checkpoints):
+        def rows(ns):
             code, out, _ = run_cli(
                 ["lln-demo", "--dist", "stable:alpha=1.5", "--mode", "trajectory",
-                 "--seed", "3", "--checkpoints", checkpoints],
+                 "--seed", "3", "--ns", ns],
                 capsys,
             )
             assert code == 0
@@ -406,23 +418,23 @@ class TestLLNDemo:
         assert rows("10,1000") == rows("10,1000,150000")
 
     def test_scaling_table_is_the_median_of_the_trajectory_rows(self, capsys):
-        def lines(mode, sizes):
+        def lines(mode):
             code, out, _ = run_cli(
-                ["lln-demo", "--dist", "stable:alpha=0.6", "--mode", mode, sizes, "100,1000",
+                ["lln-demo", "--dist", "stable:alpha=0.6", "--mode", mode, "--ns", "100,1000",
                  "--replications", "3", "--seed", "2"],
                 capsys,
             )
             assert code == 0
             return [line.split(",") for line in out.split("\n")[1:]]
 
-        trajectory = lines("trajectory", "--checkpoints")
-        for n, median in lines("scaling", "--ns")[:2]:
+        trajectory = lines("trajectory")
+        for n, median in lines("scaling")[:2]:
             means = [abs(float(m)) for cp, _, m in trajectory[:-1] if cp == n]
             assert float(median) == float(np.median(means))
 
     def test_trajectory_output_does_not_depend_on_threads(self, capsys):
         base = ["lln-demo", "--dist", "stable:alpha=1.5", "--mode", "trajectory",
-                "--checkpoints", "10,1000,15000", "--replications", "5", "--seed", "4"]
+                "--ns", "10,1000,15000", "--replications", "5", "--seed", "4"]
         outs = {run_cli(base + threads, capsys)[1]
                 for threads in ([], ["--threads", "1"], ["--threads", "2"])}
         assert len(outs) == 1 and outs.pop().count("\n") == 1 + 3 * 5
@@ -430,40 +442,31 @@ class TestLLNDemo:
     @pytest.mark.parametrize("mode", ["trajectory", "scaling"])
     @pytest.mark.parametrize("replications", ["0", "-1"])
     def test_replications_below_one_exit_code(self, capsys, mode, replications):
-        sizes = {"trajectory": ["--checkpoints", "10"], "scaling": ["--ns", "10,20"]}[mode]
         code, out, err = run_cli(
-            ["lln-demo", "--dist", PARETO, "--mode", mode, *sizes,
+            ["lln-demo", "--dist", PARETO, "--mode", mode, "--ns", "10,20",
              "--seed", "1", "--replications", replications],
             capsys,
         )
         assert code == 2 and out == ""
         assert f"replications must be >= 1, got {replications}" in err
 
-    @pytest.mark.parametrize("mode,key,owner", [("trajectory", "ns", "scaling"),
-                                                ("scaling", "checkpoints", "trajectory")])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_other_modes_size_exit_code(self, capsys, tmp_path, mode, key, owner, source):
-        # a size the mode does not read is refused, not ignored
-        argv = ["lln-demo", "--dist", PARETO, "--mode", mode, "--seed", "1"]
-        if source == "flag":
-            argv += [f"--{key}", "10,20"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({key: "10,20"}))
-            argv += ["--config", str(cfg)]
-        code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: --{key} belongs to --mode {owner}, not --mode {mode}\n"
-
     @pytest.mark.parametrize("mode,sizes,extra", [
-        ("trajectory", ["--checkpoints", "100,1000,10000,100000"], []),
+        ("trajectory", ["--ns", "1000,10000,100000"], []),
         ("scaling", ["--ns", "1000,10000,100000"], ["--replications", "5"]),
     ])
     def test_default_sizes(self, capsys, mode, sizes, extra):
-        # a mode's sizes left out are its default sizes
+        # both modes read one default size list
         base = ["lln-demo", "--dist", PARETO, "--mode", mode, "--seed", "1", *extra]
         default = run_cli(base, capsys)
         assert default[0] == 0 and default == run_cli(base + sizes, capsys)
+
+    @pytest.mark.parametrize("mode", ["trajectory", "scaling"])
+    def test_checkpoints_flag_is_gone(self, capsys, mode):
+        # --ns names the sizes in both modes
+        with pytest.raises(SystemExit) as exc:
+            main(["lln-demo", "--dist", PARETO, "--mode", mode, "--seed", "1",
+                  "--checkpoints", "10,20"])
+        assert exc.value.code == 2 and "--checkpoints" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_code(self, capsys, threads):

@@ -101,12 +101,9 @@ def test_real_refuses_booleans_and_nan(name, bad):
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64], ids=repr)
-@pytest.mark.parametrize("place", [0, 1, 2])
-def test_substream_index_is_64_bit(bad, place):
-    index = [1, 2, 3]
-    index[place] = bad
+def test_substream_index_is_64_bit(bad):
     with pytest.raises(ParameterDomainError, match=r"^index must be in 0\.\.18446744073709551615"):
-        substream(1, *index)
+        substream(1, bad)
 
 
 def test_replication_is_named_past_64_bits():

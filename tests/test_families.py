@@ -295,7 +295,7 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "fam",
-        [tr.make_pareto(1.5, 2.0), tr.make_exponential(0.5)],
+        [tr.make_pareto(1.5, 2.0), tr.make_half_cauchy(2.0), tr.make_exponential(0.5)],
         ids=lambda f: f.name,
     )
     def test_sample_is_quantile_of_uniforms(self, fam):

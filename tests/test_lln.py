@@ -41,7 +41,7 @@ class TestRunningMean:
         fam = tr.make_pareto(3.0, 1.0)
         series = tr.running_mean_trajectory(fam, [7, 100, 400], seed=5)
         x = fam.sample_with(substream(5, 0), 400)
-        for cp, mean in zip(series.checkpoints, series.running_means):
+        for cp, mean in zip(series.ns, series.running_means):
             assert mean == pytest.approx(x[:cp].mean(), rel=1e-12)
 
     def test_chunk_boundaries_do_not_matter(self, monkeypatch):

@@ -1,5 +1,8 @@
 """The outlier-event probability along its independent computation routes."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -102,6 +105,20 @@ class TestExactProbability:
         with pytest.raises(ParameterDomainError):
             tr.exact_probability(fam, 10, 1.0)
 
+    @pytest.mark.parametrize("n", [2, 10, 100, 1000, 10**6])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_exponential_closed_form(self, n, k):
+        # at kappa = 1/k the exponential's P is k! n! / (n+k-1)!, which falls
+        # to 3.6e-48 at n = 10**6, k = 10: no absolute tolerance may hide it
+        exact = Fraction(math.factorial(k), math.prod(range(n + 1, n + k)))
+        r = tr.exact_probability(tr.make_exponential(1.0), n, 1.0 / k)
+        assert r.value == pytest.approx(float(exact), rel=1e-8, abs=0.0)
+
+    def test_small_half_normal_value(self):
+        # mpmath 1.3's quad of n F(kappa y)**(n-1) p(y) over (0, inf) at 30 digits
+        r = tr.exact_probability(tr.make_half_normal(1.0), 10**6, 0.5)
+        assert r.value == pytest.approx(2.67632760584876e-15, rel=1e-8, abs=0.0)
+
     def test_accuracy_error_carries_estimate(self):
         # a tolerance out of reach must fail loudly, not silently degrade
         fam = tr.make_exponential(1.0)
@@ -201,7 +218,7 @@ class TestJointOracle:
             (tr.make_pareto(3.0, 0.5), 3, 0.1,
              "0x1.0624dd2f1a9fcp-10", "0x1.999999999999ap-57"),
             (tr.make_half_normal(1.0), 1000, 0.5,
-             "0x1.a22e7e52f90bep-21", "0x1.33b8d65180000p-39"),
+             "0x1.a22e7e5c9b52ap-21", "0x1.126d2d0000000p-48"),
             # half-normal's density squares by one multiply, not libm's pow
             (tr.make_half_normal(1.0), 10**6, 0.99,
              "0x1.91310b831607fp-1", "0x1.77c7e60000000p-28"),

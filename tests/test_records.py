@@ -73,6 +73,12 @@ def test_underscore_digits_parse(read):
     assert read("1_000\n2\n").tolist() == [1000.0, 2.0]
 
 
+@pytest.mark.parametrize("first", ["1", "1_0"], ids=["parser", "float"])
+def test_byte_order_mark_skipped(read, first):
+    # a UTF-8 byte-order mark, as some editors write first, is not data
+    assert read(f"\ufeff{first}\n2\n10\n").tolist() == [float(first), 2.0, 10.0]
+
+
 def test_crlf_line_ends(read):
     assert read("1\r\n# c\r\n\r\n2.5 # d\r\n").tolist() == [1.0, 2.5]
 
