@@ -19,11 +19,12 @@ writes as JSON or CSV, or into ready CSV tables (lln-demo, which has no
 file, else the option's default; flag and file values alike are cast with
 the option's type and checked against its choices.  A --config key that
 names no option of the subcommand, `config` itself included, is an
-argument error.
+argument error, and so is a flag abbreviated to a prefix of its name.
 
 Exit codes: 0 success, else the `exit_code` of the error: 2 argument error
-(TailRatioError, ValueError, OSError), 3 CapabilityError, 4
-InsufficientDataError, 5 AccuracyError, 6 DegenerateFrequencyError.
+(TailRatioError, ValueError, OSError, and OverflowError or MemoryError from
+a count too large to run), 3 CapabilityError, 4 InsufficientDataError, 5
+AccuracyError, 6 DegenerateFrequencyError.
 """
 
 import argparse
@@ -268,13 +269,13 @@ def _help(option):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="tailratio",
+        prog="tailratio", allow_abbrev=False,
         description="Ratio-based outlier detection and tail-index estimation "
         "for heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, options, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         for option in options + (_OUTPUT,):
             p.add_argument(_flag(option), default=None, help=_help(option))
         # not an option: a config file cannot name another
@@ -339,7 +340,7 @@ def main(argv=None):
     try:
         opts = _resolve(vars(args), options + (_OUTPUT,))
         _emit(handler(opts), opts)
-    except (TailRatioError, ValueError, OSError) as exc:
+    except (TailRatioError, ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     return 0

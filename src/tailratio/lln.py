@@ -44,15 +44,15 @@ class TrajectorySeries:
 class ScalingResult:
     """Log-log slope of median |running mean| versus sample size.
 
-    `theory_slope` is the stable exponent 1/alpha - 1 of the family's alpha
-    parameter, else of its tail index; None when it has neither, or when
-    alpha > 2 (a finite variance).
+    `theory_slope` is 1/min(alpha, 2) - 1, alpha the family's tail index,
+    or 2 when it has none: a finite variance puts the family in the normal
+    domain of attraction, where the exponent is -1/2.
     """
 
     slope: float
     ns: tuple
     per_n_medians: tuple
-    theory_slope: float | None
+    theory_slope: float
 
 
 def _increasing(values, name, need):
@@ -118,7 +118,8 @@ def scaling_exponent_experiment(family, ns, replications, seed, threads=None):
     `ns`.  Centring matters for the magnitude families: their mean is
     positive, so the uncentred |mean| settles at it and the slope reads 0.
     The median, not the mean, is taken across replications: |mean| has
-    no finite expectation when the tail index is at most 1.
+    no finite expectation when the tail index is at most 1.  The theory
+    slope is ``theory_slope(min(alpha, 2))``, alpha the tail index or 2.
     """
     ns = _increasing(ns, "ns", 2)
     mu = 0.0 if family.mean is None else family.mean
@@ -126,9 +127,8 @@ def scaling_exponent_experiment(family, ns, replications, seed, threads=None):
     rows = [t.running_means for t in trajectories(family, ns, replications, seed, threads)]
     medians = [float(m) for m in np.median(np.abs(np.array(rows) - mu), axis=0)]
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
-    alpha = family.params.get("alpha", family.tail_index)
-    theory = theory_slope(alpha) if alpha is not None and alpha <= 2.0 else None
-    return ScalingResult(slope, tuple(ns), tuple(medians), theory)
+    alpha = 2.0 if family.tail_index is None else min(family.tail_index, 2.0)
+    return ScalingResult(slope, tuple(ns), tuple(medians), theory_slope(alpha))
 
 
 def theory_slope(alpha):

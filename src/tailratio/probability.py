@@ -126,10 +126,8 @@ def exact_probability(family, n, kappa):
     kappa = check_kappa(kappa)
 
     def integrand(w):
-        if w <= 0.0:
-            u = 0.0
-        else:
-            u = min(np.exp(np.log(w) / n), _U_MAX)
+        # QAGS's Kronrod nodes are interior, so w > 0
+        u = min(np.exp(np.log(w) / n), _U_MAX)
         x = float(family.quantile(u))  # x = kappa * y
         den = kappa * float(family.pdf(x))
         if den == 0.0:

@@ -481,13 +481,21 @@ class TestLLNDemo:
         )
         assert code == 2
 
-    def test_no_theory_slope_beyond_alpha_two(self, capsys):
+    def test_theory_slope_beyond_alpha_two_is_minus_one_half(self, capsys):
         code, out, _ = run_cli(
             ["lln-demo", "--dist", "pareto:alpha=3", "--seed", "1",
              "--ns", "100,1000", "--replications", "5"],
             capsys,
         )
-        assert code == 0 and out.endswith(",\n")
+        assert code == 0 and out.endswith(",-0.5\n")
+
+    @pytest.mark.parametrize("dist", ["exponential:rate=1", "half_normal:sigma=1",
+                                      "pareto:alpha=3"])
+    def test_finite_variance_slope_is_measured(self, capsys, dist):
+        # at the default --ns and --replications
+        code, out, _ = run_cli(["lln-demo", "--dist", dist, "--seed", "1"], capsys)
+        slope, theory = map(float, out.splitlines()[-1].split(","))
+        assert code == 0 and theory == -0.5 and abs(slope - theory) < 0.15
 
 
 class TestCheckConditions:
@@ -510,6 +518,14 @@ class TestCheckConditions:
         assert "over [2, 20]" in json.loads(out)["notes"]
 
 
+def _flags(command):
+    return [cli._flag(o) for o in cli._COMMANDS[command][1] + (cli._OUTPUT,)] + ["--config"]
+
+
+# every long flag whose name has at least two characters, so its prefix is not bare "--"
+PREFIXED_FLAGS = [(c, f) for c in cli._COMMANDS for f in _flags(c) if len(f) > 3]
+
+
 class TestCommandOptions:
     def test_lln_demo_has_no_format(self, capsys):
         # lln-demo writes CSV tables only, so a --format would do nothing
@@ -525,6 +541,20 @@ class TestCommandOptions:
                   "--seed", "1", "--total", "1000"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --total 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", PREFIXED_FLAGS)
+    def test_flag_prefix_refused(self, command, flag, capsys, monkeypatch):
+        # a flag answers to its full name only, as a --config key does
+        assert flag[:-1] not in _flags(command)
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, flag[:-1], "1"], capsys, stdin="1\n2\n3\n", monkeypatch=monkeypatch)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[:-1]} 1" in capsys.readouterr().err
+
+    def test_full_flag_names_and_equals_form(self, capsys):
+        spaced = run_cli(["prob-limit", "--kappa", "0.25", "--alpha", "1.5"], capsys)
+        joined = run_cli(["prob-limit", "--kappa=0.25", "--alpha=1.5"], capsys)
+        assert spaced == joined and spaced[0] == 0 and '"value": 0.125' in spaced[1]
 
     @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"lln-demo"}))
     def test_record_commands_take_format(self, command):
@@ -586,6 +616,24 @@ EXIT_STATUS = {
 def test_exit_status_and_stderr(code, capsys, monkeypatch):
     argv, stdin, err = EXIT_STATUS[code]
     assert run_cli(argv, capsys, stdin=stdin, monkeypatch=monkeypatch) == (code, "", err)
+
+
+def test_count_too_large_to_convert_exit_code(capsys):
+    # n overflows a float at the first integrand call
+    code, out, err = run_cli(["prob-exact", "--dist", PARETO, "--n", "1" + "0" * 400], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "too large" in err
+
+
+def test_count_too_large_to_allocate_exit_code(capsys, monkeypatch):
+    # raised by hand: where memory is overcommitted, a real request could be granted
+    def handler(opts):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    text, options, _ = cli._COMMANDS["prob-mc"]
+    monkeypatch.setitem(cli._COMMANDS, "prob-mc", (text, options, handler))
+    code, out, err = run_cli(["prob-mc", "--dist", PARETO, "--n", "10", "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: Unable to allocate 7.28 TiB for an array\n")
 
 
 # Deterministic subcommands, byte for byte.  Monte Carlo digits are not

@@ -197,13 +197,14 @@ class TestTheorySlope:
 
     @pytest.mark.parametrize("family,theory", [
         (tr.make_symmetric_stable(0.6), 1.0 / 0.6 - 1.0),
-        # stable at alpha = 2 has no tail index; its alpha parameter still counts
+        # stable at alpha = 2 has no tail index, which counts as alpha = 2
         (tr.make_symmetric_stable(2.0), -0.5),
         (tr.make_pareto(1.5), 1.0 / 1.5 - 1.0),
         (tr.make_half_cauchy(), 0.0),
-        (tr.make_pareto(3.0), None),
-        (tr.make_exponential(), None),
-        (tr.make_half_normal(), None),
+        # a finite variance: the normal domain of attraction, as at alpha = 2
+        (tr.make_pareto(3.0), -0.5),
+        (tr.make_exponential(), -0.5),
+        (tr.make_half_normal(), -0.5),
     ], ids=lambda v: getattr(v, "name", None))
     def test_scaling_result_carries_it(self, family, theory):
         result = tr.scaling_exponent_experiment(family, [10, 100], 3, seed=1)
