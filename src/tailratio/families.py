@@ -1,8 +1,8 @@
 """Catalog of analytically specified distribution families.
 
 Each family describes the law of a magnitude ``|X|`` on ``[0, inf)`` through
-whatever closed forms it admits (density, CDF, density derivative, quantile)
-plus a reproducible sampler.  Every family but ``stable`` (the signed ``X``)
+whatever closed forms it admits (density, CDF, quantile) plus a
+reproducible sampler.  Every family but ``stable`` (the signed ``X``)
 samples ``|X|``, by inverse transform, ``quantile`` of uniforms, except
 ``half_normal``, which takes ``sigma * |Z|`` of standard normals ``Z``.
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
@@ -11,10 +11,9 @@ tail index; the light-tailed controls (exponential, half-normal) do not.
 A closed form takes one float and returns one float (an inverse-transform
 quantile also takes the sampler's array).  A power or quotient that can
 overflow or meet zero is taken on ``np.float64``, which gives inf or NaN
-where Python's ``**`` and ``/`` raise.  Where numpy's ufuncs (``np.power``,
-``np.square``) and libm's pow (Python's ``**``, also on ``np.float64``)
-differ in the last bit, each form keeps the one that its pinned outputs
-were computed with.
+where Python's ``**`` and ``/`` raise.  Where numpy's ``np.power`` and
+libm's pow (Python's ``**``, also on ``np.float64``) differ in the last
+bit, each form keeps the one that its pinned outputs were computed with.
 
 Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
@@ -52,7 +51,6 @@ class TailFamily:
     mean: float | None = None
     _pdf: callable = None
     _cdf: callable = None
-    _pdf_derivative: callable = None
     _quantile: callable = None
     _sampler: callable = None
 
@@ -69,10 +67,6 @@ class TailFamily:
     def cdf(self, x):
         """Distribution function F(x) of the magnitude law at the float x."""
         return self._require("_cdf", "cdf")(x)
-
-    def pdf_derivative(self, x):
-        """p'(x) at the float x."""
-        return self._require("_pdf_derivative", "density derivative")(x)
 
     def quantile(self, u):
         """Inverse CDF of the magnitude law at the float u in [0, 1)."""
@@ -106,11 +100,6 @@ def make_pareto(alpha, xm=1.0):
     def cdf(x):
         return -np.expm1(alpha * (np.log(xm) - np.log(x))) if x >= xm else 0.0
 
-    def pdf_derivative(x):
-        if x >= xm:
-            return -alpha * (alpha + 1.0) * xm**alpha * np.power(x, -alpha - 2.0)
-        return 0.0
-
     def quantile(u):
         # np.subtract makes 1 - u an np.float64 for a float u
         return xm * np.subtract(1.0, u) ** (-1.0 / alpha)
@@ -123,7 +112,6 @@ def make_pareto(alpha, xm=1.0):
         mean=alpha * xm / (alpha - 1.0) if alpha > 1.0 else None,
         _pdf=pdf,
         _cdf=cdf,
-        _pdf_derivative=pdf_derivative,
         _quantile=quantile,
     )
 
@@ -138,9 +126,6 @@ def make_half_cauchy(scale=1.0):
     def cdf(x):
         return (2.0 / np.pi) * np.arctan(x / s)
 
-    def pdf_derivative(x):
-        return -(2.0 / np.pi) * s * 2.0 * x / np.square(s * s + x * x)
-
     def quantile(u):
         return s * np.tan(np.pi * u / 2.0)
 
@@ -150,7 +135,6 @@ def make_half_cauchy(scale=1.0):
         tail_index=1.0,
         _pdf=pdf,
         _cdf=cdf,
-        _pdf_derivative=pdf_derivative,
         _quantile=quantile,
     )
 
@@ -165,9 +149,6 @@ def make_exponential(rate=1.0):
     def cdf(x):
         return -np.expm1(-r * x)
 
-    def pdf_derivative(x):
-        return -r * r * np.exp(-r * x)
-
     def quantile(u):
         return -np.log1p(-u) / r
 
@@ -177,7 +158,6 @@ def make_exponential(rate=1.0):
         mean=1.0 / r,
         _pdf=pdf,
         _cdf=cdf,
-        _pdf_derivative=pdf_derivative,
         _quantile=quantile,
     )
 
@@ -194,9 +174,6 @@ def make_half_normal(sigma=1.0):
     def cdf(x):
         return math.erf(x / (s * np.sqrt(2.0)))
 
-    def pdf_derivative(x):
-        return -x / np.float64(s * s) * pdf(x)
-
     def quantile(u):
         return s * _ndtri((1.0 + u) / 2.0)
 
@@ -210,7 +187,6 @@ def make_half_normal(sigma=1.0):
         mean=float(s * np.sqrt(2.0 / np.pi)),
         _pdf=pdf,
         _cdf=cdf,
-        _pdf_derivative=pdf_derivative,
         _quantile=quantile,
         _sampler=sampler,
     )

@@ -22,10 +22,12 @@ module's tolerances, or the route raises :class:`AccuracyError`.
 
 ``check_theorem_conditions`` numerically probes the side conditions under
 which the finite-n probability converges to kappa**alpha: the boundary
-ratio p(x)/(kappa*p(kappa*x)) at large x, the vanishing of
+ratio r(x) = p(x)/(kappa*p(kappa*x)) at large x, the vanishing of
 F**n(kappa*x)*p(x)/p(kappa*x) at the lower support edge, and the
-integrability of the integration-by-parts integrand.  These are numeric
-probes, not proofs.
+integrability of the integration-by-parts integrand g = r', as the sum of
+|r(x[i+1]) - r(x[i])| over the grid points where r is finite (the
+integral of |g| exactly when r is monotone on the grid).  These are
+numeric probes, not proofs.
 """
 
 from dataclasses import dataclass
@@ -48,6 +50,8 @@ _EXACT_EPSREL, _EXACT_LIMIT = 1e-8, 1000
 # (epsabs, epsrel, limit) for the oracle's outer integral; its inner
 # integrals take epsabs / 100, epsrel / 10 and 200
 _ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT = 1e-9, 1e-9, 500
+
+_N_MAX = 2**63 - 1  # int64's maximum n: float() and numpy's dimensions take it
 
 # mc_probability counts events over blocks of samples of at most this many
 # values (64 KiB), at least one sample a block
@@ -122,7 +126,7 @@ def exact_probability(family, n, kappa):
     # here, so commands that never integrate skip loading the quadrature module
     from ._quadpack import quad
 
-    n = check_int(n, "n", 2)
+    n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
 
     def integrand(w):
@@ -159,7 +163,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     scheduled; the reduction is an exact event count, taken over a block
     of consecutive trials at a time.
     """
-    n = check_int(n, "n", 2)
+    n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
     trials = check_int(trials, "trials", 1)
     seed = check_seed(seed)
@@ -275,12 +279,15 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     sequence edge + (start - edge) * 2**-k decreasing to the lower support
     edge, k = 0 and k = 29 (start is the probe range's lower end, else
     edge + 1), and reports whether it decays to 0;
-    (b) evaluates the integration-by-parts integrand
+    (b) integrates |g| for the integration-by-parts integrand
 
-        g(x) = p'(x)/(kappa*p(kappa*x)) - p(x)*p'(kappa*x)/p(kappa*x)**2
+        g(x) = p'(x)/(kappa*p(kappa*x)) - p(x)*p'(kappa*x)/p(kappa*x)**2,
 
-    on a grid over the probe range (intersected with the common support of
-    x and kappa*x) and trapezoid-integrates |g|;
+    the derivative of the boundary ratio r(x) = p(x)/(kappa*p(kappa*x)),
+    as the total variation of r: the sum of |r(x[i+1]) - r(x[i])| over the
+    points of a grid on the probe range (intersected with the common
+    support of x and kappa*x) where r is finite, which is the integral of
+    |g| exactly when r is monotone on the grid, as for every closed form;
     (c) reports the boundary ratio at the upper end of the probe range.
 
     `probe_range` is (lo, hi); None, or None at either end, takes that end
@@ -290,7 +297,7 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     (0, inf), so the report is evidence, never a verdict.
     """
     kappa = check_kappa(kappa)
-    n = check_int(n, "n", 2)
+    n = check_int(n, "n", 2, _N_MAX)
 
     edge = family.support_lo
     lo, hi = (None, None) if probe_range is None else probe_range
@@ -314,17 +321,13 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
         decay.append(f**n * float(family.pdf(x)) / den)
     zero_limit_ok = decay[-1] < 1e-8 or decay[-1] < decay[0] / 100.0
 
-    # (b) integrability probe on the common support {x >= edge, kappa*x >= edge}
+    # (b) total variation of r on the common support {x >= edge, kappa*x >= edge}
     g_lo = max(lo, edge / kappa if edge > 0.0 else lo)
     xs = np.linspace(g_lo, hi, grid_points)
-    p_x, p_kx, dp_x, dp_kx = (
-        np.array([f(x) for x in grid])
-        for f in (family.pdf, family.pdf_derivative) for grid in (xs, kappa * xs)
-    )
+    p_x, p_kx = (np.array([family.pdf(x) for x in grid]) for grid in (xs, kappa * xs))
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = dp_x / (kappa * p_kx) - p_x * dp_kx / p_kx**2
-    g = np.where(np.isfinite(g), g, 0.0)
-    integrand_integral = float(np.trapezoid(np.abs(g), xs))
+        r = p_x / (kappa * p_kx)
+    integrand_integral = float(np.abs(np.diff(r[np.isfinite(r)])).sum())
 
     ratio = boundary_ratio(family, kappa, hi)
     notes = (

@@ -618,11 +618,23 @@ def test_exit_status_and_stderr(code, capsys, monkeypatch):
     assert run_cli(argv, capsys, stdin=stdin, monkeypatch=monkeypatch) == (code, "", err)
 
 
-def test_count_too_large_to_convert_exit_code(capsys):
-    # n overflows a float at the first integrand call
-    code, out, err = run_cli(["prob-exact", "--dist", PARETO, "--n", "1" + "0" * 400], capsys)
-    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
-    assert "too large" in err
+@pytest.mark.parametrize("command", ["prob-exact", "prob-mc", "check-conditions"])
+def test_n_beyond_int64_exit_code(command, capsys):
+    n = "1" + "0" * 400
+    seed = ["--seed", "1"] if command == "prob-mc" else []
+    argv = [command, "--dist", PARETO, "--n", n, *seed]
+    assert run_cli(argv, capsys) == (2, "", f"error: n must be in 2..{2**63 - 1}, got {n}\n")
+
+
+def test_count_too_large_to_convert_exit_code(capsys, monkeypatch):
+    # raised by hand: an OverflowError is an argument error wherever it comes from
+    def handler(opts):
+        raise OverflowError("int too large to convert to float")
+
+    text, options, _ = cli._COMMANDS["prob-exact"]
+    monkeypatch.setitem(cli._COMMANDS, "prob-exact", (text, options, handler))
+    code, out, err = run_cli(["prob-exact", "--dist", PARETO, "--n", "10"], capsys)
+    assert (code, out, err) == (2, "", "error: int too large to convert to float\n")
 
 
 def test_count_too_large_to_allocate_exit_code(capsys, monkeypatch):
@@ -638,6 +650,9 @@ def test_count_too_large_to_allocate_exit_code(capsys, monkeypatch):
 
 # Deterministic subcommands, byte for byte.  Monte Carlo digits are not
 # pinned: the Monte Carlo stream layout may change on purpose.
+# check-conditions' integrand_integral is the total variation of the
+# half-Cauchy r(x) = (2 + x**2/2)/(1 + x**2) over [0.5, 40], which falls
+# from r(0.5) to r(40): 19197/16010 = 1.1990630855715179 by hand.
 GOLDEN = {
     ("detect", "json"): (
         '{"is_outlier": true, "kappa": 0.5, "ratio": 0.2, "max_magnitude": '
@@ -702,7 +717,7 @@ GOLDEN = {
     ("check-conditions", "json"): (
         '{"family": "half_cauchy", "params": "scale=1", "n": 1000, "kappa": '
         '0.5, "boundary_ratio_limit": 0.5009369144284822, "zero_limit_ok": '
-        'true, "integrand_integral": 1.1987528980177706, "notes": "edge probe '
+        'true, "integrand_integral": 1.1990630855715176, "notes": "edge probe '
         'at x -> 0: first 0.000e+00, last 0.000e+00; integral of |g| over [0.5,'
         ' 40] = 1.199e+00; boundary ratio at x = 40: 5.009369e-01"}\n'
     ),
@@ -710,7 +725,7 @@ GOLDEN = {
         'family,params,n,kappa,boundary_ratio_limit,zero_limit_ok,'
         'integrand_integral,notes\n'
         'half_cauchy,scale=1,1000,0.5,0.50093691442848221,true,'
-        '1.1987528980177706,edge probe at x -> 0: first 0.000e+00; last '
+        '1.1990630855715176,edge probe at x -> 0: first 0.000e+00; last '
         '0.000e+00; integral of |g| over [0.5; 40] = 1.199e+00; boundary ratio '
         'at x = 40: 5.009369e-01\n'
     ),

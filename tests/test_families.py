@@ -67,7 +67,6 @@ class TestPareto:
         for x in (0.0, 0.5, np.nextafter(1.0, 0.0)):
             assert fam.cdf(x) == 0.0
             assert fam.pdf(x) == 0.0
-            assert fam.pdf_derivative(x) == 0.0
 
     def test_density_ratio_identity(self):
         # p(x)/(kappa p(kappa x)) == kappa**alpha wherever both points are in support
@@ -122,7 +121,6 @@ class TestLightTails:
     [
         (tr.make_pareto(0.005).quantile, 0.999, math.inf),
         (tr.make_half_normal(1.0).pdf, 1e200, 0.0),
-        (tr.make_half_cauchy(1.0).pdf_derivative, 1e100, 0.0),
         (tr.make_half_cauchy(1e-170).pdf, 0.0, math.inf),
     ],
 )
@@ -356,17 +354,11 @@ class TestFullCapabilityInvariants:
         fd = (pointwise(fam.cdf, xs + h) - pointwise(fam.cdf, xs - h)) / (2.0 * h)
         assert np.allclose(fd, pointwise(fam.pdf, xs), rtol=1e-5, atol=1e-8)
 
-    def test_pdf_derivative_matches(self, fam):
-        xs = pointwise(fam.quantile, np.linspace(0.1, 0.9, 9))
-        h = 1e-6
-        fd = (pointwise(fam.pdf, xs + h) - pointwise(fam.pdf, xs - h)) / (2.0 * h)
-        assert np.allclose(fd, pointwise(fam.pdf_derivative, xs), rtol=1e-4, atol=1e-7)
-
     def test_forms_at_zero_are_floats(self, fam):
         # Pareto's support starts at xm, so 0.0 is below it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = [fam.pdf(0.0), fam.cdf(0.0), fam.pdf_derivative(0.0)]
+            values = [fam.pdf(0.0), fam.cdf(0.0)]
         for v in values:
             assert isinstance(v, float) and math.isfinite(v)
 

@@ -281,11 +281,27 @@ class TestConditionReport:
 
     def test_half_cauchy(self):
         rep = tr.check_theorem_conditions(
-            tr.make_half_cauchy(1.0), 0.5, 1000, probe_range=(0.01, 500.0),
-            grid_points=2001,
+            tr.make_half_cauchy(1.0), 0.5, 1000, probe_range=(0.01, 500.0)
         )
         assert rep.boundary_ratio_limit == pytest.approx(0.5, abs=2e-3)
         assert np.isfinite(rep.integrand_integral)
+
+    # r(x) = p(x)/(kappa*p(kappa*x)) at kappa = 0.5 is monotone for each, so the
+    # integral of |g| = |r'| over (lo, hi) is |r(lo) - r(hi)| at any grid size
+    @pytest.mark.parametrize("grid_points", [2, 401])
+    @pytest.mark.parametrize("fam, lo, hi, r", [
+        # 1.4998440150225
+        (tr.make_half_cauchy(1.0), 0.01, 500.0, lambda x: (2.0 + x * x / 2.0) / (1.0 + x * x)),
+        # 2(e**-0.005 - e**-10) = 1.98993415852584
+        (tr.make_exponential(1.0), 0.01, 20.0, lambda x: 2.0 * math.exp(-x / 2.0)),
+        # 2(e**(-3/8 * 1e-4) - e**(-3/8 * 50.01**2)) = 1.99992500140623
+        (tr.make_half_normal(1.0), 0.01, 50.01, lambda x: 2.0 * math.exp(-0.375 * x * x)),
+    ], ids=["half_cauchy", "exponential", "half_normal"])
+    def test_integrand_integral_is_the_total_variation_of_r(self, fam, lo, hi, r, grid_points):
+        rep = tr.check_theorem_conditions(
+            fam, 0.5, 100, probe_range=(lo, hi), grid_points=grid_points
+        )
+        assert rep.integrand_integral == pytest.approx(abs(r(lo) - r(hi)), rel=1e-12)
 
     def test_capability(self):
         with pytest.raises(CapabilityError):

@@ -1,9 +1,10 @@
-"""The README's "Command line" block runs as written.
+"""The README's "Library quick start" and "Command line" blocks run as written.
 
-Each line of the block runs in a shell whose PATH starts with a `tailratio`
-that calls ``python -m tailratio.cli``, in a directory holding the
-`data.txt` that two of the lines read, and must exit 0.  A flag renamed or
-removed in the CLI but not in the README fails here.
+The quick start's Python block runs in a fresh namespace.  Each line of the
+command block runs in a shell whose PATH starts with a `tailratio` that
+calls ``python -m tailratio.cli``, in a directory holding the `data.txt`
+that two of the lines read, and must exit 0.  A public name, or a flag,
+removed or renamed in the library but not in the README fails here.
 """
 
 import os
@@ -20,10 +21,18 @@ import tailratio
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def block(heading, language):
+    """The first ```language block after the README's `## heading`."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
 def command_lines():
-    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
-    return [line for line in block.splitlines() if line.strip()]
+    return [line for line in block("Command line", "sh").splitlines() if line.strip()]
+
+
+def test_library_quick_start_runs():
+    exec(compile(block("Library quick start", "python"), "README.md", "exec"), {})
 
 
 @pytest.fixture(scope="module")
