@@ -8,7 +8,7 @@ Monte Carlo subcommands require an explicit --seed (no silent entropy).
 --threads (an integer >= 1, by default the CPUs the process may use) sets
 the threads lln-demo runs its replications on; the output does not depend
 on it.  prob-mc accepts --threads but runs on one thread: a trial is short
-(12 us for n = 50), and most of it is Python work that holds the GIL,
+(6 us for n = 50), and most of it is Python work that holds the GIL,
 setting up the trial's generator and calling its sampler, so threads would
 slow it down.
 
@@ -224,7 +224,7 @@ _COMMANDS = {
                  "lower end of probe range (default: support edge + 0.01)"),
          _Option("probe_hi", _real, None,
                  "upper end of probe range (default: support edge + 50)"),
-         _Option("grid_points", _int, 401, "grid size for the integrand probe"),
+         _Option("grid_points", _int, 401, "grid size for the integrand probe, 2..10**7"),
          _FORMAT),
         _check_conditions,
     ),

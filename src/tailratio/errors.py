@@ -25,14 +25,15 @@ def check_int(value, name, lo, hi=None):
     3.0 and numpy integers are accepted; a boolean, a fraction, NaN, infinity
     or a non-number is refused rather than truncated by int().
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if not (isinstance(value, (float, np.floating)) and float(value).is_integer()):
-            raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:  # a plain int, the common case, skips the type tests
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not (isinstance(value, (float, np.floating)) and float(value).is_integer()):
+                raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ParameterDomainError(f"{name} must be {bound}, got {value}")
-    return int(value)
+    return value
 
 
 def check_real(value, name, lo, hi, ends="()"):

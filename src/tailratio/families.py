@@ -79,9 +79,11 @@ class TailFamily:
     def sample_with(self, rng, count):
         """Draw `count` values from an already-constructed generator."""
         count = check_int(count, "count", 1)
-        if self._sampler is not None:
-            return self._sampler(rng, count)
-        return self._require("_quantile", "sampler")(rng.random(count))
+        if (sampler := self._sampler) is not None:
+            return sampler(rng, count)
+        if (quantile := self._quantile) is None:
+            self._require("_quantile", "sampler")  # raises CapabilityError
+        return quantile(rng.random(count))
 
 
 def make_pareto(alpha, xm=1.0):
@@ -127,7 +129,8 @@ def make_half_cauchy(scale=1.0):
         return (2.0 / np.pi) * np.arctan(x / s)
 
     def quantile(u):
-        return s * np.tan(np.pi * u / 2.0)
+        # three array passes, not four: halving is exact, so (pi*u)/2 == (pi/2)*u
+        return s * np.tan(u * (np.pi / 2.0))
 
     return TailFamily(
         name="half_cauchy",

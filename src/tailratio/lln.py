@@ -19,6 +19,7 @@ the number of threads.
 """
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -93,7 +94,8 @@ def trajectories(family, ns, replications, seed, threads=None):
     One for each r in 0 .. replications - 1, listed in that order.  They
     run on a pool of min(threads, replications, usable CPUs) threads, the
     usable CPUs being those this process may run on; `threads` None means
-    all of them.
+    all of them.  At most two replications a thread are submitted and not
+    yet taken, so memory does not grow with `replications`.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -101,9 +103,16 @@ def trajectories(family, ns, replications, seed, threads=None):
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     threads = cpus if threads is None else check_int(threads, "threads", 1)
-    with ThreadPoolExecutor(min(threads, replications, cpus)) as pool:
-        run = partial(running_mean_trajectory, family, ns, seed)
-        return list(pool.map(run, range(replications)))
+    workers = min(threads, replications, cpus)
+    run = partial(running_mean_trajectory, family, ns, seed)
+    results, pending = [], deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for r in range(replications):
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(run, r))
+        results += [future.result() for future in pending]
+    return results
 
 
 def scaling_exponent_experiment(family, ns, replications, seed, threads=None):

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, SingularityError, check_int, check_real
+from .errors import (
+    AccuracyError, ParameterDomainError, SingularityError, check_int, check_real,
+)
 from .intervals import wilson_interval
 from .outliers import _count_events, check_kappa
 from .rng import check_seed, substream
@@ -52,6 +54,9 @@ _EXACT_EPSREL, _EXACT_LIMIT = 1e-8, 1000
 _ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT = 1e-9, 1e-9, 500
 
 _N_MAX = 2**63 - 1  # int64's maximum n: float() and numpy's dimensions take it
+
+# check_theorem_conditions' largest grid: 80 MB an array, its density taken point by point
+_GRID_MAX = 10**7
 
 # mc_probability counts events over blocks of samples of at most this many
 # values (64 KiB), at least one sample a block
@@ -169,12 +174,15 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     seed = check_seed(seed)
     confidence = check_real(confidence, "confidence", 0, 1)
 
-    block = np.empty((max(1, _MC_BLOCK_VALUES // n), n))
-    hits = 0
+    try:
+        block = np.empty((max(1, _MC_BLOCK_VALUES // n), n))
+    except (ValueError, MemoryError) as exc:  # numpy refuses or cannot allocate n values
+        raise ParameterDomainError(f"n is too large to sample, got {n}: {exc}") from None
+    sample, hits = family.sample_with, 0
     for start in range(0, trials, len(block)):
         mags = block[: min(len(block), trials - start)]
         for row, i in enumerate(range(start, start + len(mags))):
-            mags[row] = family.sample_with(substream(seed, i), n)
+            mags[row] = sample(substream(seed, i), n)
         np.abs(mags, out=mags)
         hits += _count_events(mags, kappa)
     p_hat = hits / trials
@@ -291,7 +299,8 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     (c) reports the boundary ratio at the upper end of the probe range.
 
     `probe_range` is (lo, hi); None, or None at either end, takes that end
-    from the default (support_lo + 0.01, support_lo + 50).
+    from the default (support_lo + 0.01, support_lo + 50).  `grid_points`
+    is an integer in 2..10**7.
 
     Purely diagnostic: finite sampling cannot establish integrability over
     (0, inf), so the report is evidence, never a verdict.
@@ -303,7 +312,7 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     lo, hi = (None, None) if probe_range is None else probe_range
     lo = check_real(edge + 0.01 if lo is None else lo, "probe_range[0]", edge, np.inf, "[)")
     hi = check_real(edge + 50.0 if hi is None else hi, "probe_range[1]", lo, np.inf)
-    grid_points = check_int(grid_points, "grid_points", 2)
+    grid_points = check_int(grid_points, "grid_points", 2, _GRID_MAX)
 
     # (a) decay toward the lower support edge, where F(kappa*x) -> 0
     start = lo if lo > edge else edge + 1.0

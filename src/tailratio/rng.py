@@ -8,16 +8,17 @@ so a given (seed, index) pair always yields the same stream no matter how
 many workers run or in which order trials execute.  The index is an
 integer in 0..2**64 - 1, like the seed.
 
-SeedSequence hashes its words one at a time in Python-level code: 17 us a
-substream, over half of a 32 us trial of a 50-value half-Cauchy Monte
-Carlo (medians of 6 processes on a 2-vCPU Xeon, numpy 2.4).  So the four
-words it hands PCG64 are computed here instead, for 1024 consecutive
-indices at once in numpy uint64 arithmetic.  The computation starts from
-the pool of ``SeedSequence(seed)``, which is numpy's own mixing of the
-seed, then continues SeedSequence's hashmix/mix over the index's 32-bit
-words and finishes with its output hash.  A hash constant depends only on
-how many words were hashed before it.  The two latest blocks are cached,
-and a substream costs 3.7 us, most of it PCG64's own construction.
+SeedSequence hashes its words one at a time in Python-level code: 15 us a
+substream, more than twice a whole 6 us trial of a 50-value half-Cauchy
+Monte Carlo (median of 12 runs of 10**5 trials on a 2-vCPU Xeon, numpy
+2.4).  So the four words it hands PCG64 are computed here instead, for
+1024 consecutive indices at once in numpy uint64 arithmetic.  The
+computation starts from the pool of ``SeedSequence(seed)``, which is
+numpy's own mixing of the seed, then continues SeedSequence's hashmix/mix
+over the index's 32-bit words and finishes with its output hash.  A hash
+constant depends only on how many words were hashed before it.  The two
+latest blocks are cached, and a substream costs 1.8 us, most of it
+PCG64's own construction.
 """
 
 from functools import cache, lru_cache
@@ -72,21 +73,24 @@ def _block_state(seed, block):
 
 
 @cache
-def _state_seed():
-    """The ISeedSequence that hands PCG64 a row of words already computed.
+def _generator():
+    """The constructor of the Generator that runs PCG64 on a row of words.
 
     Defined on first use: importing numpy.random loads 19 more modules and
     adds 16 ms and 5.8 MB of peak RSS to `import tailratio.cli`, which every
     command pays, also the ones that draw nothing.
     """
-    class StateSeed(np.random.bit_generator.ISeedSequence):
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
         def __init__(self, state):
             self.state = state
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.state  # PCG64 asks for 4 uint64 words
 
-    return StateSeed
+    return lambda state: Generator(PCG64(StateSeed(state)))
 
 
 def substream(seed, index=None):
@@ -102,5 +106,4 @@ def substream(seed, index=None):
     if index is None:
         return np.random.default_rng(np.random.SeedSequence(seed))
     block, row = divmod(check_int(index, "index", 0, 2**64 - 1), _BLOCK)
-    state = _block_state(seed, block)[row]
-    return np.random.Generator(np.random.PCG64(_state_seed()(state)))
+    return _generator()(_block_state(seed, block)[row])

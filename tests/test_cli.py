@@ -626,6 +626,19 @@ def test_n_beyond_int64_exit_code(command, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: n must be in 2..{2**63 - 1}, got {n}\n")
 
 
+def test_n_too_large_to_sample_exit_code(capsys):
+    n = 2**63 - 1  # accepted as an int64, refused by numpy before it takes memory
+    code, out, err = run_cli(["prob-mc", "--dist", PARETO, "--n", str(n), "--seed", "1"], capsys)
+    assert (code, out) == (2, "") and err.startswith(f"error: n is too large to sample, got {n}: ")
+
+
+@pytest.mark.parametrize("points", [2**63 - 1, 10**19])
+def test_grid_points_beyond_bound_exit_code(points, capsys):
+    argv = ["check-conditions", "--dist", PARETO, "--grid-points", str(points)]
+    err = f"error: grid_points must be in 2..10000000, got {points}\n"
+    assert run_cli(argv, capsys) == (2, "", err)
+
+
 def test_count_too_large_to_convert_exit_code(capsys, monkeypatch):
     # raised by hand: an OverflowError is an argument error wherever it comes from
     def handler(opts):
@@ -648,8 +661,9 @@ def test_count_too_large_to_allocate_exit_code(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: Unable to allocate 7.28 TiB for an array\n")
 
 
-# Deterministic subcommands, byte for byte.  Monte Carlo digits are not
-# pinned: the Monte Carlo stream layout may change on purpose.
+# Every subcommand but lln-demo, byte for byte.  A prob-mc record is a
+# function of its event count, which does not hang on the last bits of
+# numpy's SIMD tan; its stream layout may change, on purpose and announced.
 # check-conditions' integrand_integral is the total variation of the
 # half-Cauchy r(x) = (2 + x**2/2)/(1 + x**2) over [0.5, 40], which falls
 # from r(0.5) to r(40): 19197/16010 = 1.1990630855715179 by hand.
@@ -729,6 +743,38 @@ GOLDEN = {
         '0.000e+00; integral of |g| over [0.5; 40] = 1.199e+00; boundary ratio '
         'at x = 40: 5.009369e-01\n'
     ),
+    ("prob-mc:pareto", "json"): (
+        '{"method": "monte_carlo", "family": "pareto", "params": '
+        '"alpha=1.5;xm=1", "n": 7, "kappa": 0.5, "value": '
+        '0.39666666666666667, "error_estimate": 0.02824430457173164, "ci_lo": '
+        '0.34295083194304077, "ci_hi": 0.452995382110032, "trials": 300, '
+        '"seed": 5}\n'
+    ),
+    ("prob-mc:half_cauchy", "json"): (
+        '{"method": "monte_carlo", "family": "half_cauchy", "params": '
+        '"scale=1", "n": 7, "kappa": 0.5, "value": 0.5766666666666667, '
+        '"error_estimate": 0.028526141357371502, "ci_lo": 0.5201332672229635, '
+        '"ci_hi": 0.6312614771892728, "trials": 300, "seed": 5}\n'
+    ),
+    ("prob-mc:exponential", "json"): (
+        '{"method": "monte_carlo", "family": "exponential", "params": '
+        '"rate=1", "n": 7, "kappa": 0.5, "value": 0.31, "error_estimate": '
+        '0.026702059845637376, "ci_lo": 0.26034352510199493, "ci_hi": '
+        '0.3644608039633325, "trials": 300, "seed": 5}\n'
+    ),
+    ("prob-mc:half_normal", "json"): (
+        '{"method": "monte_carlo", "family": "half_normal", "params": '
+        '"sigma=1", "n": 7, "kappa": 0.5, "value": 0.09333333333333334, '
+        '"error_estimate": 0.016795061002392163, "ci_lo": '
+        '0.06536421957889091, "ci_hi": 0.1315853970170732, "trials": 300, '
+        '"seed": 5}\n'
+    ),
+    ("prob-mc:stable", "json"): (
+        '{"method": "monte_carlo", "family": "stable", "params": '
+        '"alpha=1.5;scale=1", "n": 7, "kappa": 0.5, "value": 0.35, '
+        '"error_estimate": 0.02753785273643051, "ci_lo": 0.29823200252235404, '
+        '"ci_hi": 0.4055608888450096, "trials": 300, "seed": 5}\n'
+    ),
 }
 
 
@@ -750,6 +796,10 @@ GOLDEN_ARGV = {
     "prob-oracle": ["prob-oracle", "--dist", "half_cauchy:scale=1", "--n", "4"],
     "check-conditions": ["check-conditions", "--dist", "half_cauchy:scale=1",
                          "--probe-lo", "0.5", "--probe-hi", "40"],
+    **{f"prob-mc:{spec.partition(':')[0]}": ["prob-mc", "--dist", spec, "--n", "7",
+                                              "--trials", "300", "--seed", "5"]
+       for spec in ("pareto:alpha=1.5", "half_cauchy:scale=1", "exponential:rate=1",
+                    "half_normal:sigma=1", "stable:alpha=1.5")},
 }
 GOLDEN_STDIN = {"detect": "1\n-2\n10\n", "ksigma": "0\n0\n0\n10\n-1\n"}
 

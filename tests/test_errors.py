@@ -113,6 +113,7 @@ def test_replication_is_named_past_64_bits():
 
 def test_check_int_range():
     assert check_int(np.int64(5), "n", 2) == 5 and type(check_int(5.0, "n", 2)) is int
+    assert type(check_int(np.int64(5), "n", 2)) is int
     assert check_int(2**64 - 1, "seed", 0, 2**64 - 1) == 2**64 - 1
     with pytest.raises(ParameterDomainError, match=r"^n must be >= 2, got 1$"):
         check_int(1, "n", 2)

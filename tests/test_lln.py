@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tailratio as tr
+from tailratio import lln
 from tailratio.errors import CapabilityError, ParameterDomainError
 from tailratio.families import TailFamily
 from tailratio.rng import substream
@@ -114,11 +115,34 @@ class TestTrajectories:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         return sizes
+
+    def test_few_replications_in_flight(self, monkeypatch):
+        """Futures submitted and not yet read stay at two a thread, in order."""
+        pool, future = concurrent.futures.ThreadPoolExecutor, concurrent.futures.Future
+        submit, result = pool.submit, future.result
+        flight = [0, 0]  # now, most
+
+        def counting_submit(self, fn, /, *args, **kwargs):
+            flight[0] += 1
+            flight[1] = max(flight)
+            return submit(self, fn, *args, **kwargs)
+
+        def counting_result(self, timeout=None):
+            flight[0] -= 1
+            return result(self, timeout)
+
+        monkeypatch.setattr(lln, "running_mean_trajectory", lambda family, ns, seed, r: r)
+        monkeypatch.setattr(pool, "submit", counting_submit)
+        monkeypatch.setattr(future, "result", counting_result)
+        assert tr.trajectories(constant_family(1.0), [10], 10**4, 1, 2) == list(range(10**4))
+        assert flight[0] == 0 and flight[1] <= 4
 
     @pytest.mark.parametrize("threads,replications,workers", [
         (10**6, 5, 3),  # capped by the usable CPUs
