@@ -72,19 +72,19 @@ class SingularityError(TailRatioError, ZeroDivisionError):
 
 
 class AccuracyError(TailRatioError):
-    """Quadrature stopped with a QUADPACK failure flag or short of its tolerance.
+    """Quadrature stopped short of its tolerance.
 
-    Carries the best available estimate, which the message ends with, and
-    QUADPACK's flag `ier` saying why it stopped.
+    The message says which two levels of the rule disagreed, by how much,
+    and against what tolerance; it ends with the best available estimate,
+    which the error carries with its error estimate.
     """
 
     exit_code = 5
 
-    def __init__(self, message, best_estimate=None, error_estimate=None, ier=None):
+    def __init__(self, message, best_estimate=None, error_estimate=None):
         super().__init__(f"{message} (best estimate {best_estimate!r})")
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
-        self.ier = ier
 
 
 class DegenerateFrequencyError(TailRatioError):

@@ -9,7 +9,10 @@ Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
 A closed form takes one float and returns one float (an inverse-transform
-quantile also takes the sampler's array).  A power or quotient that can
+quantile also takes the sampler's array).  Each family with a quantile
+also writes out its upper-tail form, the x with 1 - F(x) = v, rather
+than taking the quantile at 1 - v: quadrature asks for v as small as
+1e-290, which 1 - v would round away.  A power or quotient that can
 overflow or meet zero is taken on ``np.float64``, which gives inf or NaN
 where Python's ``**`` and ``/`` raise.  Where numpy's ``np.power`` and
 libm's pow (Python's ``**``, also on ``np.float64``) differ in the last
@@ -38,6 +41,7 @@ class TailFamily:
     :class:`CapabilityError`.  The closed forms take one float and return
     one float.  Without a ``_sampler``, sampling is ``_quantile`` of an
     array of uniforms, which that quantile must then also take.
+    ``_upper_quantile`` is the upper-tail form, ``quantile(u, upper=True)``.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
     Pareto, 0 otherwise).  ``mean`` is the closed-form mean of the sampled
     values (for a symmetric law, its centre), or ``None`` where it is
@@ -52,6 +56,7 @@ class TailFamily:
     _pdf: callable = None
     _cdf: callable = None
     _quantile: callable = None
+    _upper_quantile: callable = None
     _sampler: callable = None
 
     def _require(self, attr, what):
@@ -68,9 +73,13 @@ class TailFamily:
         """Distribution function F(x) of the magnitude law at the float x."""
         return self._require("_cdf", "cdf")(x)
 
-    def quantile(self, u):
-        """Inverse CDF of the magnitude law at the float u in [0, 1)."""
-        return self._require("_quantile", "quantile")(u)
+    def quantile(self, u, upper=False):
+        """Inverse CDF of the magnitude law at the float u in [0, 1).
+
+        With `upper`, the upper-tail quantile: the x with 1 - F(x) = u, for u
+        in (0, 1], as R's ``lower.tail = FALSE``.
+        """
+        return self._require("_upper_quantile" if upper else "_quantile", "quantile")(u)
 
     def sample(self, count, seed):
         """Draw `count` i.i.d. magnitudes (``stable``: signed values), deterministic in `seed`."""
@@ -106,6 +115,9 @@ def make_pareto(alpha, xm=1.0):
         # np.subtract makes 1 - u an np.float64 for a float u
         return xm * np.subtract(1.0, u) ** (-1.0 / alpha)
 
+    def upper_quantile(v):
+        return xm * np.float64(v) ** (-1.0 / alpha)
+
     return TailFamily(
         name="pareto",
         params={"alpha": alpha, "xm": xm},
@@ -115,6 +127,7 @@ def make_pareto(alpha, xm=1.0):
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
+        _upper_quantile=upper_quantile,
     )
 
 
@@ -132,6 +145,9 @@ def make_half_cauchy(scale=1.0):
         # three array passes, not four: halving is exact, so (pi*u)/2 == (pi/2)*u
         return s * np.tan(u * (np.pi / 2.0))
 
+    def upper_quantile(v):
+        return s / np.tan(v * (np.pi / 2.0))
+
     return TailFamily(
         name="half_cauchy",
         params={"scale": s},
@@ -139,6 +155,7 @@ def make_half_cauchy(scale=1.0):
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
+        _upper_quantile=upper_quantile,
     )
 
 
@@ -155,6 +172,9 @@ def make_exponential(rate=1.0):
     def quantile(u):
         return -np.log1p(-u) / r
 
+    def upper_quantile(v):
+        return -np.log(v) / r
+
     return TailFamily(
         name="exponential",
         params={"rate": r},
@@ -162,6 +182,7 @@ def make_exponential(rate=1.0):
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
+        _upper_quantile=upper_quantile,
     )
 
 
@@ -180,6 +201,9 @@ def make_half_normal(sigma=1.0):
     def quantile(u):
         return s * _ndtri((1.0 + u) / 2.0)
 
+    def upper_quantile(v):
+        return -s * _ndtri(v / 2.0)
+
     def sampler(rng, size):
         # not the quantile of uniforms: the scalar ndtri is 100 times slower
         return s * np.abs(rng.standard_normal(size))
@@ -191,6 +215,7 @@ def make_half_normal(sigma=1.0):
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
+        _upper_quantile=upper_quantile,
         _sampler=sampler,
     )
 

@@ -99,7 +99,7 @@ def trajectories(family, ns, replications, seed, threads=None):
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    replications = check_int(replications, "replications", 1)
+    replications = check_int(replications, "replications", 1, 2**63 - 1)  # int64's maximum
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     threads = cpus if threads is None else check_int(threads, "threads", 1)

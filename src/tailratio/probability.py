@@ -6,19 +6,19 @@ i.i.d. sample of size n.  Four routes are provided:
 * ``limit_probability`` -- the large-n limit kappa**alpha for densities
   that are regularly varying with index -(alpha+1) at infinity;
 * ``exact_probability`` -- the finite-n value, the single integral
-  n * F**(n-1)(kappa*y) * p(y) dy over (0, inf), by adaptive quadrature
-  (QUADPACK's QAGS, ported in ``_quadpack``);
+  n * F**(n-1)(kappa*y) * p(y) dy over (0, inf), by quadrature over the
+  upper-tail quantile;
 * ``mc_probability`` -- straight Monte Carlo over repeated samples;
 * ``joint_oracle_probability`` -- small-n double quadrature of the joint
   density n*(n-1)*F**(n-2)(x)*p(x)*p(y) of the top two order statistics
   over {x <= kappa*y}, an independent derivation path used to validate
-  the single-integral reduction (QAGS inside and outside, the outer
-  integral starting where the inner one switches on).
+  the single-integral reduction.
 
-Both quadrature routes report their work: ``neval`` integrand evaluations
-over ``intervals`` subintervals.  Each integral they take must converge
-(QUADPACK's ``ier`` 0) within max(epsabs, epsrel * |value|) of the
-module's tolerances, or the route raises :class:`AccuracyError`.
+Both quadrature routes run on one tanh-sinh rule over (0, 1) (H. Takahasi
+and M. Mori, "Double exponential formulas for numerical integration",
+Publ. RIMS 9 (1974) 721-741), which halves its step until two levels
+agree within 1e-8 of the value, or raises :class:`AccuracyError`.  Both
+report their work as ``neval`` integrand evaluations.
 
 ``check_theorem_conditions`` numerically probes the side conditions under
 which the finite-n probability converges to kappa**alpha: the boundary
@@ -30,7 +30,10 @@ integral of |g| exactly when r is monotone on the grid).  These are
 numeric probes, not proofs.
 """
 
+import math
+import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,19 +44,23 @@ from .intervals import wilson_interval
 from .outliers import _count_events, check_kappa
 from .rng import check_seed, substream
 
-# clipping u at the last float below 1 keeps quantile() finite; the
-# integrand is continuous there so the value change is below roundoff
-_U_MAX = 1.0 - 1e-16
+# the tanh-sinh nodes t = j*h span [-_T, _T], where w and 1 - w fall to 1e-275
+_T = 6.0
+# level k takes the step h = 2**-(k+1); the rule stops at level 3 at the earliest
+_FIRST_LEVEL, _LAST_LEVEL = 3, 8
+# relative only: an absolute floor would pass a P below it with an estimate
+# larger than P itself
+_RTOL = 1e-8
 
-# QUADPACK's (epsrel, limit) for exact_probability's integral, which takes
-# epsabs 0: an absolute floor would pass a P below it with a bound larger
-# than P itself
-_EXACT_EPSREL, _EXACT_LIMIT = 1e-8, 1000
-# (epsabs, epsrel, limit) for the oracle's outer integral; its inner
-# integrals take epsabs / 100, epsrel / 10 and 200
-_ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT = 1e-9, 1e-9, 500
+# 5-point Gauss-Legendre: nodes 0, +-a and +-b on [-1, 1], then mapped to
+# (node, weight) pairs on [0, 1], the weights summing to 1
+_GL_A, _GL_B = (math.sqrt(5.0 + sign * 2.0 * math.sqrt(10.0 / 7.0)) / 3.0 for sign in (-1, 1))
+_GL_WA, _GL_WB = ((322.0 + sign * 13.0 * math.sqrt(70.0)) / 900.0 for sign in (1, -1))
+_GAUSS = tuple(((1.0 + x) / 2.0, g / 2.0) for x, g in (
+    (-_GL_B, _GL_WB), (-_GL_A, _GL_WA), (0.0, 128.0 / 225.0), (_GL_A, _GL_WA), (_GL_B, _GL_WB)))
 
-_N_MAX = 2**63 - 1  # int64's maximum n: float() and numpy's dimensions take it
+# int64's maximum n, the bound on trials too: float() and numpy's dimensions take it
+_N_MAX = 2**63 - 1
 
 # check_theorem_conditions' largest grid: 80 MB an array, its density taken point by point
 _GRID_MAX = 10**7
@@ -76,7 +83,6 @@ class ProbabilityResult:
     trials: int | None = None
     seed: int | None = None
     neval: int | None = None  # quadrature: integrand evaluations
-    intervals: int | None = None  # quadrature: subintervals used
 
 
 @dataclass(frozen=True)
@@ -95,68 +101,84 @@ def limit_probability(kappa, alpha):
     return kappa ** check_real(alpha, "alpha", 0, np.inf, "(]")
 
 
-def _shortfall(q, epsabs, epsrel):
-    """How QUADPACK's result q misses its tolerance, or "" if it does not.
+def _tanh_sinh(f):
+    """The integral of f over (0, 1) and its error estimate.
 
-    q misses when QUADPACK flags a failure (ier != 0) or its error bound
-    exceeds max(epsabs, epsrel * |value|).
+    Level k puts nodes at t = j*h in [-6, 6], h = 2**-(k+1), mapped to
+    w = 1/(1 + exp(-pi*sinh(t))) with weight h*pi*cosh(t)*w*c; c = 1 - w
+    is computed directly, so both ends of (0, 1) keep their digits.  `f`
+    takes the lists w and c of one level, in increasing w, and returns the
+    list of its values there.  Every level is evaluated whole, and the even
+    nodes of a level are those of the level before, bit for bit.
+
+    The estimate is the difference of the last two levels, plus the two
+    outermost terms per unit of t, which bound the mass beyond t = +-6
+    where the terms fall faster than exp(-|t|), and at least four ulps of
+    the value.  The rule returns once it is within 1e-8 of the
+    value, at level 3 at the earliest, and raises :class:`AccuracyError`
+    if level 8 has not got there.
     """
-    tol = max(epsabs, epsrel * abs(q.value))
-    if q.ier == 0 and q.abserr <= tol:
-        return ""
-    from ._quadpack import IER_REASONS
-
-    return (f"stopped with ier {q.ier}: {IER_REASONS[q.ier]}; "
-            f"error bound {q.abserr:.3e}, tolerance {tol:.3e}")
+    previous = None
+    for level in range(_LAST_LEVEL + 1):
+        h = 0.5 ** (level + 1)
+        t = h * np.arange(-_T / h, _T / h + 1.0)
+        e = np.exp(-np.pi * np.sinh(t))
+        w, c = 1.0 / (1.0 + e), e / (1.0 + e)
+        terms = h * np.pi * np.cosh(t) * w * c * np.array(f(w.tolist(), c.tolist()))
+        value = float(terms.sum())
+        if previous is not None:
+            diff, edge = abs(value - previous), float(abs(terms[0]) + abs(terms[-1])) / h
+            err = max(diff + edge, 4.0 * sys.float_info.epsilon * abs(value))
+            tol = _RTOL * abs(value)
+            if err <= tol and level >= _FIRST_LEVEL:
+                return value, err
+        previous = value
+    raise AccuracyError(
+        f"quadrature levels {level - 1} and {level} differ by {diff:.3e} and the outermost "
+        f"nodes add {edge:.3e}, against a tolerance of {tol:.3e}",
+        best_estimate=value, error_estimate=err,
+    )
 
 
 def exact_probability(family, n, kappa):
-    """Finite-n outlier probability by adaptive quadrature.
+    """Finite-n outlier probability by quadrature.
 
     The integral is rewritten with u = F(kappa*y) followed by w = u**n,
     giving
 
-        P = integral_0^1  p(Q(w**(1/n)) / kappa) / (kappa * p(Q(w**(1/n))))  dw,
+        P = integral_0^1  p(x / kappa) / (kappa * p(x))  dw,   x = Q(v),
 
-    which is bounded, smooth, and free of underflow for any n (the w
-    substitution absorbs the F**(n-1) spike at the upper quantiles, where
-    a naive grid would miss all the mass).  The family therefore needs a
-    density p and a quantile Q; without either, :class:`CapabilityError`
-    is raised on first use.
+    where Q is the upper-tail quantile, 1 - F(Q(v)) = v, at
+    v = 1 - w**(1/n) = -expm1(ln(w) / n).  The integrand is bounded, smooth
+    and free of underflow for any n (the w substitution absorbs the
+    F**(n-1) spike at the upper quantiles, where a naive grid would miss
+    all the mass), and v keeps its digits where w**(1/n) is within 1e-16
+    of 1.  The family therefore needs a density p and a quantile Q; without
+    either, :class:`CapabilityError` is raised on first use.
 
-    Raises :class:`AccuracyError` (carrying the best estimate and QUADPACK's
-    `ier`) if the quadrature misses its tolerance, which is relative only:
-    the error bound must stay below 1e-8 * |P|, however small P is.
+    Raises :class:`AccuracyError` (carrying the best estimate) if the
+    tanh-sinh rule misses its tolerance, which is relative only: the error
+    estimate must stay below 1e-8 * |P|, however small P is.
     """
-    # here, so commands that never integrate skip loading the quadrature module
-    from ._quadpack import quad
-
     n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
 
-    def integrand(w):
-        # QAGS's Kronrod nodes are interior, so w > 0
-        u = min(np.exp(np.log(w) / n), _U_MAX)
-        x = float(family.quantile(u))  # x = kappa * y
+    @cache  # a node recurs at every later level
+    def ratio(w, c):
+        log_w = math.log(w) if w <= 0.5 else math.log1p(-c)
+        x = float(family.quantile(-math.expm1(log_w / n), upper=True))  # x = kappa * y
         den = kappa * float(family.pdf(x))
-        if den == 0.0:
-            return 0.0
-        return float(family.pdf(x / kappa)) / den
+        return float(family.pdf(x / kappa)) / den if den else 0.0
 
-    q = quad(integrand, 0.0, 1.0, 0.0, _EXACT_EPSREL, _EXACT_LIMIT)
-    value, err = q.value, q.abserr
-    if reason := _shortfall(q, 0.0, _EXACT_EPSREL):
-        raise AccuracyError(
-            f"quadrature {reason}", best_estimate=value, error_estimate=err, ier=q.ier
-        )
+    with np.errstate(over="ignore"):  # a quantile beyond the floats is inf, where p is 0
+        value, err = _tanh_sinh(lambda w, c: list(map(ratio, w, c)))
     return ProbabilityResult(
-        value=float(min(max(value, 0.0), 1.0)),
+        value=min(max(value, 0.0), 1.0),
         method="quadrature",
-        error_estimate=float(err),
+        error_estimate=err,
         kappa=kappa,
         n=n,
-        neval=q.neval,
-        intervals=q.last,
+        neval=ratio.cache_info().misses,
     )
 
 
@@ -170,7 +192,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     """
     n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
-    trials = check_int(trials, "trials", 1)
+    trials = check_int(trials, "trials", 1, _N_MAX)
     seed = check_seed(seed)
     confidence = check_real(confidence, "confidence", 0, 1)
 
@@ -209,58 +231,47 @@ def joint_oracle_probability(family, n, kappa):
     validates that reduction.  Restricted to n in {2, ..., 8} where the
     powers of F cause no conditioning trouble.
 
-    Raises :class:`AccuracyError` (carrying the oracle's best estimate and
-    the `ier` of the first integral to fail) if any integral misses its
-    tolerance.
-    """
-    from ._quadpack import quad
+    The outer integral runs over y = lo/kappa + w/c, where the inner one
+    switches on, by the tanh-sinh rule in w (c = 1 - w).  The inner
+    integral of F**(n-2)*p from lo to kappa*y is taken in
+    s = (x - lo)/(1 + x - lo), with 1 - s computed directly, as a running
+    sum up the outer nodes: a 5-point Gauss-Legendre rule on each gap
+    between consecutive nodes.
 
+    Raises :class:`AccuracyError` (carrying the oracle's best estimate) if
+    the rule misses its tolerance.
+    """
     n = check_int(n, "n", 2, 8)
     kappa = check_kappa(kappa)
     lo = family.support_lo
-    inner_eps, inner_rel = _ORACLE_EPSABS / 100.0, _ORACLE_EPSREL / 10.0
-    inner_work = [0, 0]  # evaluations and subintervals of every inner integral
-    failures = []  # (ier, message) of every integral that missed its tolerance
-
-    def density(x):  # the joint density without its factor n*(n-1)*p(y)
-        return float(family.cdf(x)) ** (n - 2) * float(family.pdf(x))
-
-    def inner(y):
-        hi = kappa * y
-        if hi <= lo:
-            return 0.0
-        q = quad(density, lo, hi, inner_eps, inner_rel, 200)
-        inner_work[0] += q.neval
-        inner_work[1] += q.last
-        if reason := _shortfall(q, inner_eps, inner_rel):
-            failures.append((q.ier, f"inner quadrature over [{lo:g}, {hi:g}] {reason}"))
-        return q.value
-
-    def outer(t):
-        if t == 1.0:  # y = inf carries no mass
-            return 0.0
-        y = lo + t / (1.0 - t)
-        return float(family.pdf(y)) * inner(y) / (1.0 - t) ** 2
-
-    # the inner integral is empty until y = lo/kappa: start the outer one there
-    y_on = lo / kappa - lo
-    q = quad(outer, y_on / (1.0 + y_on), 1.0, _ORACLE_EPSABS, _ORACLE_EPSREL, _ORACLE_LIMIT)
-    if reason := _shortfall(q, _ORACLE_EPSABS, _ORACLE_EPSREL):
-        failures.append((q.ier, f"outer quadrature {reason}"))
     coeff = n * (n - 1)
-    value = coeff * q.value
-    err_total = coeff * (q.abserr + inner_eps)
-    if failures:
-        ier, message = failures[0]
-        raise AccuracyError(message, best_estimate=value, error_estimate=err_total, ier=ier)
+    nodes = 0
+
+    def density(s, c):  # F**(n-2)*p at x = lo + s/c, times dx/ds = 1/c**2
+        x = lo + s / c
+        return float(family.cdf(x)) ** (n - 2) * float(family.pdf(x)) / c / c
+
+    def outer(w, c):
+        nonlocal nodes
+        nodes += len(w)
+        values, inner, s0, c0 = [], 0.0, 0.0, 1.0
+        for wi, ci in zip(w, c):
+            d = kappa * wi  # kappa*y - lo = d/ci
+            s1, c1 = d / (ci + d), ci / (ci + d)
+            gap = s1 - s0 if s1 < 0.5 else c0 - c1
+            inner += gap * sum(g * density(s0 + gap * tau, c0 - gap * tau) for tau, g in _GAUSS)
+            s0, c0 = s1, c1
+            values.append(coeff * float(family.pdf(lo / kappa + wi / ci)) / ci * inner / ci)
+        return values
+
+    value, err = _tanh_sinh(outer)
     return ProbabilityResult(
-        value=float(min(max(value, 0.0), 1.0)),
+        value=min(max(value, 0.0), 1.0),
         method="joint_oracle",
-        error_estimate=float(err_total),
+        error_estimate=err,
         kappa=kappa,
         n=n,
-        neval=q.neval + inner_work[0],
-        intervals=q.last + inner_work[1],
+        neval=6 * nodes,  # a node takes the outer density and 5 inner points
     )
 
 

@@ -8,8 +8,15 @@ import pytest
 
 from tailratio import cli
 from tailratio.cli import main
+from tailratio.families import TailFamily
 
 PARETO = "pareto:alpha=1.5,xm=1"
+
+
+def growing_family(a):
+    """Not a distribution: at kappa = 0.01 its quadrature integrand is 100 * v**(-99*a)."""
+    return TailFamily(name="growing", _pdf=lambda x: np.exp(a * x),
+                      _upper_quantile=lambda v: -np.log(v))
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -139,44 +146,42 @@ class TestProbability:
             code, out, _ = run_cli(argv, capsys)
             assert code == 3 and out == ""
 
-    def test_accuracy_failure_names_its_reason(self, capsys):
-        # the integral itself is still out of reach at n = 1e9, kappa = 0.9
+    def test_accuracy_failure_names_its_reason(self, capsys, monkeypatch):
+        # the integrand grows like 1/(1 - w), so the rule's levels never agree
+        monkeypatch.setattr(cli, "parse_family_spec", lambda spec: growing_family(1.0 / 99.0))
         code, out, err = run_cli(
-            ["prob-exact", "--dist", "half_normal:sigma=1", "--n", "1000000000",
-             "--kappa", "0.9"],
-            capsys,
+            ["prob-exact", "--dist", "growing", "--n", "2", "--kappa", "0.01"], capsys
         )
         assert code == 5 and out == ""
-        assert "ier 2: round-off" in err
+        assert err.startswith("error: quadrature levels 7 and 8 differ by ")
 
-    @pytest.mark.parametrize("dist,n,kappa", [
-        ("half_normal:sigma=1", "10", "0.1"),  # P is 3.4676e-7
-        ("exponential:rate=1", "1000000000000", "0.5"),  # P is 2/(n+1)
-    ])
-    def test_small_value_out_of_reach_exit_code(self, capsys, dist, n, kappa):
-        # a value the quadrature cannot bound within 1e-8 of itself is exit 5,
-        # not a wrong value
+    @pytest.mark.parametrize("a", [1.0 / 99.0, 0.01],
+                             ids=["diverging", "mass_beyond_the_outermost_node"])
+    def test_integral_out_of_reach_exit_code(self, capsys, monkeypatch, a):
+        # a value the rule cannot bound within 1e-8 of itself is exit 5, not a wrong value
+        monkeypatch.setattr(cli, "parse_family_spec", lambda spec: growing_family(a))
         code, out, err = run_cli(
-            ["prob-exact", "--dist", dist, "--n", n, "--kappa", kappa], capsys
+            ["prob-exact", "--dist", "growing", "--n", "2", "--kappa", "0.01"], capsys
         )
         assert code == 5 and out == "" and "best estimate" in err
 
     def test_oracle_accuracy_failure_exit_code(self, capsys):
+        # 0.2 % of Pareto(0.01)'s mass lies beyond y = 1e275, the outermost node
         code, out, err = run_cli(
-            ["prob-oracle", "--dist", "pareto:alpha=0.3", "--n", "8", "--kappa", "0.5"],
+            ["prob-oracle", "--dist", "pareto:alpha=0.01", "--n", "8", "--kappa", "0.5"],
             capsys,
         )
         assert code == 5 and out == ""
-        assert "ier 5: integral probably divergent" in err
+        assert "and the outermost nodes add 8.860e-02, against a tolerance of" in err
 
     def test_oracle_integrand_at_infinity(self, capsys):
-        # QUADPACK evaluates the outer integrand at t = 1, that is y = inf
+        # the outermost node puts y near 1e275, where the integrand must stay finite
         code, out, err = run_cli(
-            ["prob-oracle", "--dist", "pareto:alpha=0.1", "--n", "8", "--kappa", "0.5"],
+            ["prob-oracle", "--dist", "pareto:alpha=0.01", "--n", "2", "--kappa", "0.9"],
             capsys,
         )
         assert code == 5 and out == ""
-        assert err.startswith("error: inner quadrature")
+        assert err.startswith("error: quadrature levels 7 and 8 differ by ")
 
     def test_unknown_family_exit_code(self, capsys):
         code, _, _ = run_cli(
@@ -448,7 +453,7 @@ class TestLLNDemo:
             capsys,
         )
         assert code == 2 and out == ""
-        assert f"replications must be >= 1, got {replications}" in err
+        assert f"replications must be in 1..{2**63 - 1}, got {replications}" in err
 
     @pytest.mark.parametrize("mode,sizes,extra", [
         ("trajectory", ["--ns", "1000,10000,100000"], []),
@@ -602,10 +607,9 @@ EXIT_STATUS = {
         "error: family 'stable' has no quantile\n"),
     4: (["detect"], "1\n",
         "error: need at least 2 values to rank the top two, got 1\n"),
-    5: (["prob-oracle", "--dist", "pareto:alpha=0.3", "--n", "8", "--kappa", "0.5"], None,
-        "error: inner quadrature over [1, 1.20725e+08] stopped with ier 5: integral probably "
-        "divergent; error bound 2.513e-05, tolerance 1.000e-11 "
-        "(best estimate 0.8122523111362424)\n"),
+    5: (["prob-oracle", "--dist", "pareto:alpha=0.01", "--n", "8", "--kappa", "0.5"], None,
+        "error: quadrature levels 7 and 8 differ by 8.341e-05 and the outermost nodes add "
+        "8.860e-02, against a tolerance of 9.791e-09 (best estimate 0.9791100991575938)\n"),
     6: (["estimate-alpha", "--block-size", "2"], "0\n0\n0\n0\n",
         "error: every block triggered the event; alpha_hat is only bounded above "
         "(95% upper bound on alpha: 1.54633)\n"),
@@ -624,6 +628,22 @@ def test_n_beyond_int64_exit_code(command, capsys):
     seed = ["--seed", "1"] if command == "prob-mc" else []
     argv = [command, "--dist", PARETO, "--n", n, *seed]
     assert run_cli(argv, capsys) == (2, "", f"error: n must be in 2..{2**63 - 1}, got {n}\n")
+
+
+def test_trials_beyond_int64_exit_code(capsys):
+    trials = "1" + "0" * 400
+    argv = ["prob-mc", "--dist", PARETO, "--n", "10", "--seed", "1", "--trials", trials]
+    err = f"error: trials must be in 1..{2**63 - 1}, got {trials}\n"
+    assert run_cli(argv, capsys) == (2, "", err)
+
+
+@pytest.mark.parametrize("mode", ["trajectory", "scaling"])
+def test_replications_beyond_int64_exit_code(capsys, mode):
+    replications = "1" + "0" * 400
+    argv = ["lln-demo", "--dist", PARETO, "--mode", mode, "--ns", "10,20", "--seed", "1",
+            "--replications", replications]
+    err = f"error: replications must be in 1..{2**63 - 1}, got {replications}\n"
+    assert run_cli(argv, capsys) == (2, "", err)
 
 
 def test_n_too_large_to_sample_exit_code(capsys):
@@ -706,27 +726,27 @@ GOLDEN = {
     ),
     ("prob-exact", "json"): (
         '{"method": "quadrature", "family": "half_cauchy", "params": "scale=1",'
-        ' "n": 100, "kappa": 0.5, "value": 0.5001798374824743, '
-        '"error_estimate": 3.970127671060197e-09, "ci_lo": null, "ci_hi": null,'
+        ' "n": 100, "kappa": 0.5, "value": 0.500179837482459, '
+        '"error_estimate": 4.442489376210359e-16, "ci_lo": null, "ci_hi": null,'
         ' "trials": null, "seed": null}\n'
     ),
     ("prob-exact", "csv"): (
         'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
         'seed\n'
-        'quadrature,half_cauchy,scale=1,100,0.5,0.5001798374824743,'
-        '3.9701276710601974e-09,,,,\n'
+        'quadrature,half_cauchy,scale=1,100,0.5,0.50017983748245898,'
+        '4.4424893762103588e-16,,,,\n'
     ),
     ("prob-oracle", "json"): (
         '{"method": "joint_oracle", "family": "half_cauchy", "params": '
         '"scale=1", "n": 4, "kappa": 0.5, "value": 0.5774902981001574, '
-        '"error_estimate": 1.2000653985456487e-10, "ci_lo": null, "ci_hi": '
+        '"error_estimate": 1.392164161728715e-11, "ci_lo": null, "ci_hi": '
         'null, "trials": null, "seed": null}\n'
     ),
     ("prob-oracle", "csv"): (
         'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
         'seed\n'
         'joint_oracle,half_cauchy,scale=1,4,0.5,0.5774902981001574,'
-        '1.2000653985456487e-10,,,,\n'
+        '1.392164161728715e-11,,,,\n'
     ),
     ("check-conditions", "json"): (
         '{"family": "half_cauchy", "params": "scale=1", "n": 1000, "kappa": '

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 import tailratio as tr
 from tailratio.errors import CapabilityError, ParameterDomainError
@@ -342,6 +342,15 @@ class TestFullCapabilityInvariants:
             limit=400,
         )
         assert head + tail == pytest.approx(float(fam.cdf(b)), abs=1e-6)
+
+    @pytest.mark.parametrize("v", [1e-150, 1e-12, 0.3, 0.999])
+    def test_upper_quantile_is_scipy_isf(self, fam, v):
+        # the x with 1 - F(x) = v, also where 1 - v rounds to 1
+        law = {"pareto": lambda p: stats.pareto(p["alpha"], scale=p["xm"]),
+               "half_cauchy": lambda p: stats.halfcauchy(scale=p["scale"]),
+               "exponential": lambda p: stats.expon(scale=1.0 / p["rate"]),
+               "half_normal": lambda p: stats.halfnorm(scale=p["sigma"])}[fam.name](fam.params)
+        assert float(fam.quantile(v, upper=True)) == pytest.approx(law.isf(v), rel=1e-12)
 
     def test_quantile_roundtrip(self, fam):
         us = np.linspace(0.01, 0.99, 33)
