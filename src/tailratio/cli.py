@@ -221,9 +221,9 @@ _COMMANDS = {
         (_DIST, _KAPPA,
          _Option("n", _int, 1000, "sample size for the edge probe"),
          _Option("probe_lo", _real, None,
-                 "lower end of probe range (default: support edge + 0.01)"),
+                 "lower end of probe range (default: support edge + 0.01 * scale)"),
          _Option("probe_hi", _real, None,
-                 "upper end of probe range (default: support edge + 50)"),
+                 "upper end of probe range (default: support edge + 50 * scale)"),
          _Option("grid_points", _int, 401, "grid size for the integrand probe, 2..10**7"),
          _FORMAT),
         _check_conditions,

@@ -98,7 +98,8 @@ class DegenerateFrequencyError(TailRatioError):
     exit_code = 6
 
     def __init__(self, message, p_hat, bound, bound_side, confidence):
-        super().__init__(f"{message} ({confidence:.0%} {bound_side} bound on alpha: {bound:.6g})")
+        super().__init__(
+            f"{message} ({100 * confidence:g}% {bound_side} bound on alpha: {bound:.6g})")
         self.p_hat = p_hat
         self.bound = bound
         self.bound_side = bound_side

@@ -24,7 +24,7 @@ function of ``(family, count, seed)``.
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,18 +38,20 @@ class TailFamily:
     """A distribution family for the magnitude law, with optional closed forms.
 
     Callable fields may be ``None``; the corresponding accessor then raises
-    :class:`CapabilityError`.  The closed forms take one float and return
-    one float.  Without a ``_sampler``, sampling is ``_quantile`` of an
-    array of uniforms, which that quantile must then also take.
+    :class:`CapabilityError`.  The closed forms, float to float, are those
+    of the standard law; only the accessors apply ``scale`` (``xm``, 1/rate,
+    sigma), as ``_pdf(x/scale)/scale``, ``_cdf(x/scale)`` and ``scale`` times
+    a quantile or a sample.  Without a ``_sampler``, sampling is ``_quantile``
+    of an array of uniforms, which that quantile must then also take.
     ``_upper_quantile`` is the upper-tail form, ``quantile(u, upper=True)``.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
-    Pareto, 0 otherwise).  ``mean`` is the closed-form mean of the sampled
-    values (for a symmetric law, its centre), or ``None`` where it is
-    infinite or not given.
+    Pareto, 0 otherwise).  ``mean`` is the mean of the sampled values (a
+    symmetric law's centre), or ``None`` where it is infinite or not given.
     """
 
     name: str
     params: dict = field(default_factory=dict)
+    scale: float = 1.0
     tail_index: float | None = None
     support_lo: float = 0.0
     mean: float | None = None
@@ -67,11 +69,11 @@ class TailFamily:
 
     def pdf(self, x):
         """Density p(x) of the magnitude law at the float x."""
-        return self._require("_pdf", "density")(x)
+        return self._require("_pdf", "density")(x / self.scale) / self.scale
 
     def cdf(self, x):
         """Distribution function F(x) of the magnitude law at the float x."""
-        return self._require("_cdf", "cdf")(x)
+        return self._require("_cdf", "cdf")(x / self.scale)
 
     def quantile(self, u, upper=False):
         """Inverse CDF of the magnitude law at the float u in [0, 1).
@@ -79,7 +81,8 @@ class TailFamily:
         With `upper`, the upper-tail quantile: the x with 1 - F(x) = u, for u
         in (0, 1], as R's ``lower.tail = FALSE``.
         """
-        return self._require("_upper_quantile" if upper else "_quantile", "quantile")(u)
+        form = self._require("_upper_quantile" if upper else "_quantile", "quantile")
+        return self.scale * form(u)
 
     def sample(self, count, seed):
         """Draw `count` i.i.d. magnitudes (``stable``: signed values), deterministic in `seed`."""
@@ -89,14 +92,18 @@ class TailFamily:
         """Draw `count` values from an already-constructed generator."""
         count = check_int(count, "count", 1)
         if (sampler := self._sampler) is not None:
-            return sampler(rng, count)
+            return self.scale * sampler(rng, count)
         if (quantile := self._quantile) is None:
             self._require("_quantile", "sampler")  # raises CapabilityError
-        return quantile(rng.random(count))
+        return self.scale * quantile(rng.random(count))
+
+    def standard_law(self):
+        """The family in its own unit: scale 1, and the support edge divided by the scale."""
+        return replace(self, scale=1.0, support_lo=self.support_lo / self.scale)
 
 
 def make_pareto(alpha, xm=1.0):
-    """Pareto family: F(x) = 1 - (xm/x)**alpha for x >= xm.
+    """Pareto family: F(x) = 1 - (xm/x)**alpha for x >= xm, at scale xm.
 
     The canonical regularly varying family; p(x)/(kappa*p(kappa*x)) equals
     kappa**alpha identically, so every finite-n outlier probability already
@@ -106,21 +113,22 @@ def make_pareto(alpha, xm=1.0):
     xm = check_real(xm, "xm", 0, np.inf)
 
     def pdf(x):
-        return alpha * xm**alpha * np.power(x, -alpha - 1.0) if x >= xm else 0.0
+        return alpha * np.power(x, -alpha - 1.0) if x >= 1.0 else 0.0
 
     def cdf(x):
-        return -np.expm1(alpha * (np.log(xm) - np.log(x))) if x >= xm else 0.0
+        return -np.expm1(-alpha * np.log(x)) if x >= 1.0 else 0.0
 
     def quantile(u):
         # np.subtract makes 1 - u an np.float64 for a float u
-        return xm * np.subtract(1.0, u) ** (-1.0 / alpha)
+        return np.subtract(1.0, u) ** (-1.0 / alpha)
 
     def upper_quantile(v):
-        return xm * np.float64(v) ** (-1.0 / alpha)
+        return np.float64(v) ** (-1.0 / alpha)
 
     return TailFamily(
         name="pareto",
         params={"alpha": alpha, "xm": xm},
+        scale=xm,
         tail_index=alpha,
         support_lo=xm,
         mean=alpha * xm / (alpha - 1.0) if alpha > 1.0 else None,
@@ -136,21 +144,22 @@ def make_half_cauchy(scale=1.0):
     s = check_real(scale, "scale", 0, np.inf)
 
     def pdf(x):
-        return (2.0 / np.pi) * s / np.float64(s * s + x * x)
+        return (2.0 / np.pi) / (1.0 + x * x)
 
     def cdf(x):
-        return (2.0 / np.pi) * np.arctan(x / s)
+        return (2.0 / np.pi) * np.arctan(x)
 
     def quantile(u):
         # three array passes, not four: halving is exact, so (pi*u)/2 == (pi/2)*u
-        return s * np.tan(u * (np.pi / 2.0))
+        return np.tan(u * (np.pi / 2.0))
 
     def upper_quantile(v):
-        return s / np.tan(v * (np.pi / 2.0))
+        return 1.0 / np.tan(v * (np.pi / 2.0))
 
     return TailFamily(
         name="half_cauchy",
         params={"scale": s},
+        scale=s,
         tail_index=1.0,
         _pdf=pdf,
         _cdf=cdf,
@@ -164,20 +173,21 @@ def make_exponential(rate=1.0):
     r = check_real(rate, "rate", 0, np.inf)
 
     def pdf(x):
-        return r * np.exp(-r * x)
+        return np.exp(-x)
 
     def cdf(x):
-        return -np.expm1(-r * x)
+        return -np.expm1(-x)
 
     def quantile(u):
-        return -np.log1p(-u) / r
+        return -np.log1p(-u)
 
     def upper_quantile(v):
-        return -np.log(v) / r
+        return -np.log(v)
 
     return TailFamily(
         name="exponential",
         params={"rate": r},
+        scale=1.0 / r,
         mean=1.0 / r,
         _pdf=pdf,
         _cdf=cdf,
@@ -189,28 +199,27 @@ def make_exponential(rate=1.0):
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
     s = check_real(sigma, "sigma", 0, np.inf)
-    c = np.sqrt(2.0 / np.pi) / s
 
     def pdf(x):
-        y = x / s
-        return c * np.exp(-0.5 * (y * y))
+        return math.sqrt(2.0 / math.pi) * np.exp(-0.5 * (x * x))
 
     def cdf(x):
-        return math.erf(x / (s * np.sqrt(2.0)))
+        return math.erf(x / math.sqrt(2.0))
 
     def quantile(u):
-        return s * _ndtri((1.0 + u) / 2.0)
+        return _ndtri((1.0 + u) / 2.0)
 
     def upper_quantile(v):
-        return -s * _ndtri(v / 2.0)
+        return -_ndtri(v / 2.0)
 
     def sampler(rng, size):
         # not the quantile of uniforms: the scalar ndtri is 100 times slower
-        return s * np.abs(rng.standard_normal(size))
+        return np.abs(rng.standard_normal(size))
 
     return TailFamily(
         name="half_normal",
         params={"sigma": s},
+        scale=s,
         mean=float(s * np.sqrt(2.0 / np.pi)),
         _pdf=pdf,
         _cdf=cdf,
@@ -255,7 +264,7 @@ def make_symmetric_stable(alpha, scale=1.0):
     def sampler(rng, size):
         u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
         if a == 1.0:
-            return s * np.tan(u)
+            return np.tan(u)
         e = rng.standard_exponential(size)
         # e <- (sqrt(1 + tan((1-a)u)**2) * e)**((a-1)/a)
         w = np.multiply(u, 1.0 - a)
@@ -273,17 +282,18 @@ def make_symmetric_stable(alpha, scale=1.0):
         u += 1.0
         np.power(u, 0.5 / a, out=u)
         u *= e
-        # w <- 2 s t / (1 + t**2) * u
+        # w <- 2 t / (1 + t**2) * u
         np.multiply(w, w, out=e)
         e += 1.0
         w /= e
         w *= u
-        w *= 2.0 * s
+        w *= 2.0
         return w
 
     return TailFamily(
         name="stable",
         params={"alpha": a, "scale": s},
+        scale=s,
         tail_index=a if a < 2.0 else None,
         mean=0.0,  # the centre of symmetry: the mean whenever alpha > 1
         _sampler=sampler,

@@ -58,19 +58,22 @@ def _finite_values(data, need, purpose):
 
 
 def _top_two(mags):
-    """(second, largest) of each row of a (rows, n) array."""
-    part = np.partition(mags, -2).T
-    return part[-2], part[-1]
+    """Per row: largest, second, their indices (ties: earlier first); the largest becomes -inf."""
+    rows, first = np.arange(len(mags)), mags.argmax(axis=1)
+    largest = mags[rows, first]
+    mags[rows, first] = -np.inf
+    second = mags.argmax(axis=1)
+    return largest, mags[rows, second], first, second
 
 
-def _event(second, largest, kappa):
+def _event(largest, second, kappa):
     """The outlier event of order 1/kappa; non-strict, so ties count."""
     return second <= kappa * largest
 
 
 def _count_events(mags, kappa):
     """How many rows of the (rows, n) magnitudes hold the outlier event."""
-    return int(np.count_nonzero(_event(*_top_two(mags), kappa)))
+    return int(np.count_nonzero(_event(*_top_two(mags)[:2], kappa)))
 
 
 def top_two_magnitudes(data):
@@ -87,18 +90,8 @@ def top_two_magnitudes(data):
     -------
     TopTwo
     """
-    mags = np.abs(_finite_values(data, 2, "to rank the top two"))
-    # argmax returns the first maximum, which keeps the earlier-index rule
-    best_i = int(np.argmax(mags))
-    best = float(mags[best_i])
-    mags[best_i] = -np.inf  # mags is a fresh array, not the caller's
-    second_i = int(np.argmax(mags))
-    return TopTwo(
-        max_magnitude=best,
-        second_magnitude=float(mags[second_i]),
-        max_index=best_i,
-        second_index=second_i,
-    )
+    mags = np.abs(_finite_values(data, 2, "to rank the top two"))  # a fresh array
+    return TopTwo(*(a.item() for a in _top_two(mags[None])))
 
 
 def is_outlier(data, kappa):
@@ -114,7 +107,7 @@ def is_outlier(data, kappa):
     else:
         ratio = top.second_magnitude / top.max_magnitude
     return OutlierVerdict(
-        is_outlier=_event(top.second_magnitude, top.max_magnitude, kappa),
+        is_outlier=_event(top.max_magnitude, top.second_magnitude, kappa),
         kappa=kappa,
         ratio=ratio,
         top_two=top,

@@ -14,11 +14,11 @@ i.i.d. sample of size n.  Four routes are provided:
   over {x <= kappa*y}, an independent derivation path used to validate
   the single-integral reduction.
 
-Both quadrature routes run on one tanh-sinh rule over (0, 1) (H. Takahasi
-and M. Mori, "Double exponential formulas for numerical integration",
-Publ. RIMS 9 (1974) 721-741), which halves its step until two levels
-agree within 1e-8 of the value, or raises :class:`AccuracyError`.  Both
-report their work as ``neval`` integrand evaluations.
+Both quadrature routes integrate the family's standard law (the event
+does not depend on the unit) by one tanh-sinh rule over (0, 1) (H.
+Takahasi and M. Mori, "Double exponential formulas for numerical
+integration", Publ. RIMS 9 (1974) 721-741), which halves its step until
+two levels agree within 1e-8 of the value, or raises :class:`AccuracyError`.
 
 ``check_theorem_conditions`` numerically probes the side conditions under
 which the finite-n probability converges to kappa**alpha: the boundary
@@ -143,8 +143,8 @@ def _tanh_sinh(f):
 def exact_probability(family, n, kappa):
     """Finite-n outlier probability by quadrature.
 
-    The integral is rewritten with u = F(kappa*y) followed by w = u**n,
-    giving
+    The integral, over the family's standard law, is rewritten with
+    u = F(kappa*y) followed by w = u**n, giving
 
         P = integral_0^1  p(x / kappa) / (kappa * p(x))  dw,   x = Q(v),
 
@@ -162,6 +162,7 @@ def exact_probability(family, n, kappa):
     """
     n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
+    family = family.standard_law()
 
     @cache  # a node recurs at every later level
     def ratio(w, c):
@@ -231,9 +232,9 @@ def joint_oracle_probability(family, n, kappa):
     validates that reduction.  Restricted to n in {2, ..., 8} where the
     powers of F cause no conditioning trouble.
 
-    The outer integral runs over y = lo/kappa + w/c, where the inner one
-    switches on, by the tanh-sinh rule in w (c = 1 - w).  The inner
-    integral of F**(n-2)*p from lo to kappa*y is taken in
+    In the standard law, the outer integral runs over y = lo/kappa + w/c
+    (c = 1 - w), where the inner one switches on, by the tanh-sinh rule in
+    w.  The inner integral of F**(n-2)*p from lo to kappa*y is taken in
     s = (x - lo)/(1 + x - lo), with 1 - s computed directly, as a running
     sum up the outer nodes: a 5-point Gauss-Legendre rule on each gap
     between consecutive nodes.
@@ -243,6 +244,7 @@ def joint_oracle_probability(family, n, kappa):
     """
     n = check_int(n, "n", 2, 8)
     kappa = check_kappa(kappa)
+    family = family.standard_law()
     lo = family.support_lo
     coeff = n * (n - 1)
     nodes = 0
@@ -297,7 +299,7 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     (a) evaluates F**n(kappa*x) * p(x)/p(kappa*x) at two points of the
     sequence edge + (start - edge) * 2**-k decreasing to the lower support
     edge, k = 0 and k = 29 (start is the probe range's lower end, else
-    edge + 1), and reports whether it decays to 0;
+    edge + scale), and reports whether it decays to 0;
     (b) integrates |g| for the integration-by-parts integrand
 
         g(x) = p'(x)/(kappa*p(kappa*x)) - p(x)*p'(kappa*x)/p(kappa*x)**2,
@@ -310,8 +312,8 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     (c) reports the boundary ratio at the upper end of the probe range.
 
     `probe_range` is (lo, hi); None, or None at either end, takes that end
-    from the default (support_lo + 0.01, support_lo + 50).  `grid_points`
-    is an integer in 2..10**7.
+    from the default (support_lo + scale/100, support_lo + 50*scale), with
+    the family's ``scale``.  `grid_points` is an integer in 2..10**7.
 
     Purely diagnostic: finite sampling cannot establish integrability over
     (0, inf), so the report is evidence, never a verdict.
@@ -319,14 +321,14 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     kappa = check_kappa(kappa)
     n = check_int(n, "n", 2, _N_MAX)
 
-    edge = family.support_lo
+    edge, unit = family.support_lo, family.scale
     lo, hi = (None, None) if probe_range is None else probe_range
-    lo = check_real(edge + 0.01 if lo is None else lo, "probe_range[0]", edge, np.inf, "[)")
-    hi = check_real(edge + 50.0 if hi is None else hi, "probe_range[1]", lo, np.inf)
+    lo = check_real(edge + unit / 100 if lo is None else lo, "probe_range[0]", edge, np.inf, "[)")
+    hi = check_real(edge + 50.0 * unit if hi is None else hi, "probe_range[1]", lo, np.inf)
     grid_points = check_int(grid_points, "grid_points", 2, _GRID_MAX)
 
     # (a) decay toward the lower support edge, where F(kappa*x) -> 0
-    start = lo if lo > edge else edge + 1.0
+    start = lo if lo > edge else edge + unit
     decay = []
     for k in (0, 29):
         x = edge + (start - edge) * 2.0 ** -k

@@ -113,6 +113,13 @@ class TestProbability:
         )
         assert json.loads(out)["value"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_oracle_far_from_the_unit(self, capsys):
+        # 2/(n+1) = 0.4 at kappa = 1/2, as at rate 1, not 0.0
+        code, out, _ = run_cli(
+            ["prob-oracle", "--dist", "exponential:rate=1e300", "--n", "4"], capsys
+        )
+        assert code == 0 and json.loads(out)["value"] == 0.3999999999999999
+
     def test_mc_deterministic(self, capsys):
         argv = [
             "prob-mc", "--dist", PARETO, "--n", "10",
@@ -352,6 +359,15 @@ class TestEstimateAlpha:
         )
         assert code == 6 and "bound" in err
 
+    def test_degenerate_names_its_confidence(self, capsys, monkeypatch):
+        code, _, err = run_cli(
+            ["estimate-alpha", "--block-size", "2", "--confidence", "0.975"],
+            capsys,
+            stdin="0\n0\n0\n0\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 6 and err.endswith("(97.5% upper bound on alpha: 1.81227)\n")
+
 
 class TestLLNDemo:
     def test_scaling_csv(self, capsys):
@@ -515,6 +531,11 @@ class TestCheckConditions:
             ["check-conditions", "--dist", "half_normal:sigma=1", "--probe-hi", "100"], capsys
         )
         assert code == 2 and out == "" and "density vanishes" in err
+
+    def test_default_range_follows_the_scale(self, capsys):
+        code, out, _ = run_cli(["check-conditions", "--dist", "half_normal:sigma=1e-300"], capsys)
+        assert code == 0
+        assert "over [1e-302, 5e-299]" in json.loads(out)["notes"]
 
     def test_flag_replaces_only_its_own_end(self, capsys):
         _, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--probe-lo", "3"], capsys)

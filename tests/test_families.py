@@ -121,7 +121,7 @@ class TestLightTails:
     [
         (tr.make_pareto(0.005).quantile, 0.999, math.inf),
         (tr.make_half_normal(1.0).pdf, 1e200, 0.0),
-        (tr.make_half_cauchy(1e-170).pdf, 0.0, math.inf),
+        (tr.make_half_cauchy(1e-320).pdf, 0.0, math.inf),
     ],
 )
 def test_forms_overflow_like_numpy(form, x, want):

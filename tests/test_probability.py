@@ -239,6 +239,28 @@ class TestExactProbability:
         assert r.value == pytest.approx(float(reference), rel=1e-12, abs=0.0)
 
 
+# each family by its unit s: Pareto's xm, half-Cauchy's scale, 1/rate, sigma
+UNIT_MAKERS = {
+    "pareto": lambda s: tr.make_pareto(1.5, s),
+    "half_cauchy": tr.make_half_cauchy,
+    "exponential": lambda s: tr.make_exponential(1.0 / s),
+    "half_normal": tr.make_half_normal,
+}
+
+
+@pytest.mark.parametrize("unit", [1e-300, 1e-100, 1e-9, 3.0, 1e9, 1e100, 1e300])
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("name", sorted(UNIT_MAKERS))
+@pytest.mark.parametrize("route", [tr.exact_probability, tr.joint_oracle_probability],
+                         ids=["exact", "oracle"])
+def test_quadrature_does_not_see_the_unit(route, name, n, unit):
+    # the event {second <= kappa * largest} does not depend on the unit, so
+    # both routes give the scale-1 result bit for bit, far from 1 included
+    make = UNIT_MAKERS[name]
+    got, want = route(make(unit), n, 0.5), route(make(1.0), n, 0.5)
+    assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+
+
 class TestMonteCarlo:
     def test_pareto_within_band(self):
         fam = tr.make_pareto(1.5, 1.0)
@@ -410,6 +432,16 @@ class TestConditionReport:
             tr.check_theorem_conditions(
                 tr.make_symmetric_stable(0.6, 1.0), 0.5, 100
             )
+
+    def test_default_range_is_in_the_family_unit(self):
+        # (edge + scale/100, edge + 50*scale): at sigma = 1e-300 the probe
+        # finds the density where the law has its mass, as at sigma = 1
+        rep = tr.check_theorem_conditions(tr.make_half_normal(1e-300), 0.5, 100)
+        unit = tr.check_theorem_conditions(tr.make_half_normal(1.0), 0.5, 100)
+        assert "over [1e-302, 5e-299]" in rep.notes
+        assert rep.boundary_ratio_limit == unit.boundary_ratio_limit == 0.0
+        assert rep.zero_limit_ok
+        assert rep.integrand_integral == pytest.approx(unit.integrand_integral, rel=1e-12)
 
 
 class TestEq2ReductionOracle:
