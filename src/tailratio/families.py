@@ -170,7 +170,7 @@ def make_half_cauchy(scale=1.0):
 
 def make_exponential(rate=1.0):
     """Exponential family, a light-tailed control with no tail index."""
-    r = check_real(rate, "rate", 0, np.inf)
+    r = check_real(rate, "rate", 1 / np.finfo(float).max, np.inf)  # so 1/rate is a float
 
     def pdf(x):
         return np.exp(-x)

@@ -14,10 +14,10 @@ i.i.d. sample of size n.  Four routes are provided:
   over {x <= kappa*y}, an independent derivation path used to validate
   the single-integral reduction.
 
-Both quadrature routes integrate the family's standard law (the event
-does not depend on the unit) by one tanh-sinh rule over (0, 1) (H.
-Takahasi and M. Mori, "Double exponential formulas for numerical
-integration", Publ. RIMS 9 (1974) 721-741), which halves its step until
+The event does not depend on the unit, so ``exact_probability``,
+``mc_probability`` and ``joint_oracle_probability`` take the family's standard
+law; both quadrature routes integrate it by one tanh-sinh rule over (0, 1)
+(Takahasi and Mori, Publ. RIMS 9 (1974) 721-741) that halves its step until
 two levels agree within 1e-8 of the value, or raises :class:`AccuracyError`.
 
 ``check_theorem_conditions`` numerically probes the side conditions under
@@ -186,10 +186,10 @@ def exact_probability(family, n, kappa):
 def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     """Monte Carlo estimate of the outlier probability with a Wilson interval.
 
-    Each trial draws its own substream from (seed, trial index), so the
-    estimate is bit-identical for a given seed no matter how trials are
-    scheduled; the reduction is an exact event count, taken over a block
-    of consecutive trials at a time.
+    Each trial samples the family's standard law, as both quadrature routes
+    integrate it, from its own substream of (seed, trial index), so the
+    estimate is bit-identical for a given seed at any unit and however trials
+    are scheduled; events are counted exactly, a block of trials at a time.
     """
     n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
@@ -201,7 +201,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
         block = np.empty((max(1, _MC_BLOCK_VALUES // n), n))
     except (ValueError, MemoryError) as exc:  # numpy refuses or cannot allocate n values
         raise ParameterDomainError(f"n is too large to sample, got {n}: {exc}") from None
-    sample, hits = family.sample_with, 0
+    sample, hits = family.standard_law().sample_with, 0
     for start in range(0, trials, len(block)):
         mags = block[: min(len(block), trials - start)]
         for row, i in enumerate(range(start, start + len(mags))):

@@ -67,15 +67,16 @@ def rows_to_csv(header, rows):
 def read_values(path=None):
     """Read newline-delimited numbers from a file path or standard input.
 
-    The input is UTF-8, with or without a byte-order mark.  '#' starts a
-    comment anywhere on a line; blank lines are ignored.  Returns
-    a 1-D float64 array.  numpy's C parser reads the input; a line it refuses,
-    or a value that is not finite (``nan``, ``inf`` or one too large for a
-    float), sends the input through float() line by line, which names the
-    line it cannot take and accepts the ``1_000`` syntax that float() takes.
+    The input is UTF-8, with or without a byte-order mark, and standard input
+    is read as bytes, from its ``buffer`` where it has one.  '#' starts a
+    comment anywhere on a line; blank lines are ignored.  Returns a 1-D
+    float64 array.  numpy's C parser reads the input; a line it refuses, or a
+    value that is not finite (``nan``, ``inf`` or too large for a float) sends
+    it through float() line by line, which names that line and takes ``1_000``.
     """
     if path is None or path == "-":
-        data = sys.stdin.read().encode("utf-8")
+        stdin = getattr(sys.stdin, "buffer", None)
+        data = sys.stdin.read().encode("utf-8") if stdin is None else stdin.read()
     else:
         # the builtin open: numpy given a path would also fetch URLs and
         # read a compressed sibling of a missing file

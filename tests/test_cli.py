@@ -667,6 +667,40 @@ def test_replications_beyond_int64_exit_code(capsys, mode):
     assert run_cli(argv, capsys) == (2, "", err)
 
 
+# the smallest float rate whose unit, 1/rate, is a float (1.7976931348623143e308)
+SMALLEST_RATE = "5.562684646268008e-309"
+
+
+# each command that takes --dist, with its other arguments
+DIST_COMMANDS = {
+    "prob-exact": ["--n", "10"],
+    "prob-oracle": ["--n", "4"],
+    "prob-mc": ["--n", "10", "--seed", "1", "--trials", "2000"],
+    "check-conditions": [],
+    "lln-demo": ["--ns", "10,100", "--replications", "3", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", DIST_COMMANDS)
+def test_rate_whose_unit_overflows_exit_code(command, capsys):
+    # 1/1e-309 is inf: every sample would be inf and every density 0
+    argv = [command, "--dist", "exponential:rate=1e-309", *DIST_COMMANDS[command]]
+    err = ("error: --dist: rate must be a real number in (5.562684646268003e-309, inf), "
+           "got '1e-309'\n")
+    assert run_cli(argv, capsys) == (2, "", err)
+
+
+@pytest.mark.parametrize("command", ["prob-exact", "prob-mc"])
+def test_smallest_rate_gives_the_unit_rate_record(command, capsys):
+    records = []
+    for rate in (SMALLEST_RATE, "1"):
+        argv = [command, "--dist", f"exponential:rate={rate}", *DIST_COMMANDS[command]]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        records.append({k: v for k, v in json.loads(out).items() if k != "params"})
+    assert records[0] == records[1]
+
+
 def test_n_too_large_to_sample_exit_code(capsys):
     n = 2**63 - 1  # accepted as an int64, refused by numpy before it takes memory
     code, out, err = run_cli(["prob-mc", "--dist", PARETO, "--n", str(n), "--seed", "1"], capsys)

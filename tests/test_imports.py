@@ -7,7 +7,7 @@ A command that draws no random numbers loads no numpy.random module either;
 one that draws does, which shows that the check can see it.
 
 Each case runs in a fresh interpreter, because sys.modules keeps whatever an
-earlier import in the test process loaded.
+earlier import in the test process loaded; both checks read that one run.
 """
 
 import ast
@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -66,31 +67,40 @@ print(json.dumps(sorted(sys.modules)))
 DRAWS = {c for c in CASES if c.startswith(("lln-demo", "prob-mc"))}
 
 
-def _modules_loaded(case, tmp_path):
-    """Every module in sys.modules after `case` ran in a fresh interpreter."""
-    argv = CASES[case]
-    data = tmp_path / "data.txt"
+@pytest.fixture(scope="module")
+def modules_loaded(tmp_path_factory):
+    """`case` -> every module in sys.modules after it ran in a fresh interpreter.
+
+    Each case starts its interpreter once, for all the tests that read it.
+    """
+    data = tmp_path_factory.mktemp("imports") / "data.txt"
     pareto = (1.0 - np.random.default_rng(3).random(200)) ** (-1.0 / 1.5)
     data.write_text("".join(f"{v!r}\n" for v in pareto.tolist()))
-    if argv is not None:
-        argv = [a.format(data=data) for a in argv]
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+
+    @cache
+    def modules(case):
+        argv = CASES[case]
+        if argv is not None:
+            argv = [a.format(data=data) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    return modules
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scipy_modules_loaded(case, tmp_path):
-    assert [m for m in _modules_loaded(case, tmp_path) if m.split(".")[0] == "scipy"] == []
+def test_scipy_modules_loaded(case, modules_loaded):
+    assert [m for m in modules_loaded(case) if m.split(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_numpy_random_loaded_only_to_draw(case, tmp_path):
-    loaded = _modules_loaded(case, tmp_path)
+def test_numpy_random_loaded_only_to_draw(case, modules_loaded):
+    loaded = modules_loaded(case)
     assert any(m.split(".")[:2] == ["numpy", "random"] for m in loaded) == (case in DRAWS)
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -239,26 +240,52 @@ class TestExactProbability:
         assert r.value == pytest.approx(float(reference), rel=1e-12, abs=0.0)
 
 
-# each family by its unit s: Pareto's xm, half-Cauchy's scale, 1/rate, sigma
+# each family by its unit s: Pareto's xm, half-Cauchy's and stable's scale, 1/rate, sigma
 UNIT_MAKERS = {
     "pareto": lambda s: tr.make_pareto(1.5, s),
     "half_cauchy": tr.make_half_cauchy,
     "exponential": lambda s: tr.make_exponential(1.0 / s),
     "half_normal": tr.make_half_normal,
+    "stable": lambda s: tr.make_symmetric_stable(0.6, s),
+}
+# every unit but 1, against which each is compared
+UNITS = [1e-320, 1e-300, 1e-100, 1e-9, 3.0, 1e9, 1e100, 1e300, 1e308]
+CLOSED_FORMS = sorted(set(UNIT_MAKERS) - {"stable"})
+
+
+def mc_route(family, n, kappa):
+    return tr.mc_probability(family, n, kappa, 2000, seed=1)
+
+
+# route: (function, the families it takes, its n); the oracle stops at n = 8
+UNIT_ROUTES = {
+    "mc": (mc_route, sorted(UNIT_MAKERS), (5, 50)),
+    "exact": (tr.exact_probability, CLOSED_FORMS, (5, 50)),
+    "oracle": (tr.joint_oracle_probability, CLOSED_FORMS, (5, 8)),
 }
 
 
-@pytest.mark.parametrize("unit", [1e-300, 1e-100, 1e-9, 3.0, 1e9, 1e100, 1e300])
-@pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("name", sorted(UNIT_MAKERS))
-@pytest.mark.parametrize("route", [tr.exact_probability, tr.joint_oracle_probability],
-                         ids=["exact", "oracle"])
-def test_quadrature_does_not_see_the_unit(route, name, n, unit):
+@cache
+def unit_record(route, name, n, unit):
+    function = UNIT_ROUTES[route][0]
+    r = function(UNIT_MAKERS[name](unit), n, 0.5)
+    return r.value, r.error_estimate, r.ci
+
+
+@pytest.mark.parametrize("route, name, n, unit", [
+    (route, name, n, unit)
+    for route, (_, names, ns) in UNIT_ROUTES.items()
+    for name in names
+    for n in ns
+    for unit in UNITS
+    # a rate of 1/1e-320 overflows: no exponential has that unit
+    if not (name == "exponential" and unit == 1e-320)
+])
+def test_no_route_sees_the_unit(route, name, n, unit):
     # the event {second <= kappa * largest} does not depend on the unit, so
-    # both routes give the scale-1 result bit for bit, far from 1 included
-    make = UNIT_MAKERS[name]
-    got, want = route(make(unit), n, 0.5), route(make(1.0), n, 0.5)
-    assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+    # Monte Carlo and both quadrature routes give the unit-1 record bit for
+    # bit, at the ends of the floats included
+    assert unit_record(route, name, n, unit) == unit_record(route, name, n, 1.0)
 
 
 class TestMonteCarlo:

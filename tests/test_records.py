@@ -108,6 +108,13 @@ def test_stdin_and_file_give_equal_arrays(tmp_path, monkeypatch):
     assert from_stdin.tobytes() == read_values(str(path)).tobytes()
 
 
+def test_stdin_read_as_bytes_whatever_its_encoding(monkeypatch):
+    # a latin-1 stdin would decode the UTF-8 byte-order mark as three letters
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf1\n2\n10\n"), encoding="latin-1")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert read_values().tolist() == [1.0, 2.0, 10.0]
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n# another\n"],
                          ids=["empty", "blank", "comments"])
 def test_no_values_exits_4_with_only_the_error(text, capsys, monkeypatch):
