@@ -24,7 +24,9 @@ argument error, and so is a flag abbreviated to a prefix of its name.
 Exit codes: 0 success, else the `exit_code` of the error: 2 argument error
 (TailRatioError, ValueError, OSError, and OverflowError or MemoryError from
 a count too large to run), 3 CapabilityError, 4 InsufficientDataError, 5
-AccuracyError, 6 DegenerateFrequencyError.
+AccuracyError (quadrature missed its tolerance, or a sample, a sum or a
+scaled result overflowed the floats where its value decides the output), 6
+DegenerateFrequencyError.
 """
 
 import argparse
@@ -89,17 +91,7 @@ _OUTPUT = _Option("output", str, None, "output file (default: stdout)")
 
 
 def _detect(opts):
-    verdict = is_outlier(records.read_values(opts.input), opts.kappa)
-    top = verdict.top_two
-    return {
-        "is_outlier": verdict.is_outlier,
-        "kappa": verdict.kappa,
-        "ratio": verdict.ratio,
-        "max_magnitude": top.max_magnitude,
-        "second_magnitude": top.second_magnitude,
-        "max_index": top.max_index,
-        "second_index": top.second_index,
-    }
+    return records.flat(is_outlier(records.read_values(opts.input), opts.kappa))
 
 
 def _ksigma(opts):
@@ -121,9 +113,8 @@ def _prob_exact(opts):
 
 
 def _prob_mc(opts):
-    result = probability.mc_probability(
-        opts.dist, opts.n, opts.kappa, opts.trials, opts.seed, opts.confidence
-    )
+    result = probability.mc_probability(opts.dist, opts.n, opts.kappa, opts.trials, opts.seed,
+                                        opts.confidence)
     return records.probability_record(result, opts.dist)
 
 
@@ -136,32 +127,14 @@ def _check_conditions(opts):
     report = probability.check_theorem_conditions(
         opts.dist, opts.kappa, opts.n, (opts.probe_lo, opts.probe_hi), opts.grid_points
     )
-    return {
-        "family": opts.dist.name,
-        "params": records._params_string(opts.dist),
-        "n": opts.n,
-        "kappa": opts.kappa,
-        "boundary_ratio_limit": report.boundary_ratio_limit,
-        "zero_limit_ok": report.zero_limit_ok,
-        "integrand_integral": report.integrand_integral,
-        "notes": report.notes,
-    }
+    return {"family": opts.dist.name, "params": records._params_string(opts.dist),
+            "n": opts.n, "kappa": opts.kappa, **records.flat(report)}
 
 
 def _estimate_alpha(opts):
-    estimate = estimate_alpha_from_data(
+    return records.flat(estimate_alpha_from_data(
         records.read_values(opts.input), opts.block_size, opts.kappa, opts.confidence
-    )
-    return {
-        "alpha_hat": estimate.alpha_hat,
-        "p_hat": estimate.p_hat,
-        "kappa": estimate.kappa,
-        "block_size": estimate.block_size,
-        "blocks": estimate.blocks,
-        "ci_lo": estimate.ci[0],
-        "ci_hi": estimate.ci[1],
-        "confidence": estimate.confidence,
-    }
+    ))
 
 
 def _lln_demo(opts):

@@ -72,17 +72,18 @@ class SingularityError(TailRatioError, ZeroDivisionError):
 
 
 class AccuracyError(TailRatioError):
-    """Quadrature stopped short of its tolerance.
+    """A result the floats cannot give: quadrature missed its tolerance, or a value overflowed.
 
-    The message says which two levels of the rule disagreed, by how much,
-    and against what tolerance; it ends with the best available estimate,
-    which the error carries with its error estimate.
+    From quadrature, the message says which two levels of the rule disagreed,
+    by how much, and against what tolerance; it ends with the best available
+    estimate, which the error carries with its error estimate.
     """
 
     exit_code = 5
 
     def __init__(self, message, best_estimate=None, error_estimate=None):
-        super().__init__(f"{message} (best estimate {best_estimate!r})")
+        super().__init__(message if best_estimate is None else
+                         f"{message} (best estimate {best_estimate!r})")
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
 

@@ -50,20 +50,14 @@ def estimate_alpha_from_frequency(p_hat, kappa, blocks, confidence=0.95, block_s
     confidence = check_real(confidence, "confidence", 0, 1)
 
     p_lo, p_hi = wilson_interval(p_hat, blocks, confidence)
-    if p_hat == 1.0:
+    if p_hat in (0.0, 1.0):  # p_hat = 1 bounds alpha above, by p_lo; p_hat = 0 below, by p_hi
+        every = p_hat == 1.0
         raise DegenerateFrequencyError(
-            "every block triggered the event; alpha_hat is only bounded above",
+            f"{'every' if every else 'no'} block triggered the event; "
+            f"alpha_hat is only bounded {'above' if every else 'below'}",
             p_hat=p_hat,
-            bound=_alpha_of(p_lo, kappa),
-            bound_side="upper",
-            confidence=confidence,
-        )
-    if p_hat == 0.0:
-        raise DegenerateFrequencyError(
-            "no block triggered the event; alpha_hat is only bounded below",
-            p_hat=p_hat,
-            bound=_alpha_of(p_hi, kappa),
-            bound_side="lower",
+            bound=_alpha_of(p_lo if every else p_hi, kappa),
+            bound_side="upper" if every else "lower",
             confidence=confidence,
         )
 

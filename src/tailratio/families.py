@@ -45,8 +45,9 @@ class TailFamily:
     of an array of uniforms, which that quantile must then also take.
     ``_upper_quantile`` is the upper-tail form, ``quantile(u, upper=True)``.
     ``support_lo`` is the lower edge of the magnitude support (``xm`` for
-    Pareto, 0 otherwise).  ``mean`` is the mean of the sampled values (a
-    symmetric law's centre), or ``None`` where it is infinite or not given.
+    Pareto, 0 otherwise).  ``mean`` is the standard law's mean (a symmetric
+    law's centre), the data's being ``scale * mean``, or ``None`` where it is
+    infinite or not given.
     """
 
     name: str
@@ -131,7 +132,7 @@ def make_pareto(alpha, xm=1.0):
         scale=xm,
         tail_index=alpha,
         support_lo=xm,
-        mean=alpha * xm / (alpha - 1.0) if alpha > 1.0 else None,
+        mean=alpha / (alpha - 1.0) if alpha > 1.0 else None,
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
@@ -188,7 +189,7 @@ def make_exponential(rate=1.0):
         name="exponential",
         params={"rate": r},
         scale=1.0 / r,
-        mean=1.0 / r,
+        mean=1.0,
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
@@ -220,7 +221,7 @@ def make_half_normal(sigma=1.0):
         name="half_normal",
         params={"sigma": s},
         scale=s,
-        mean=float(s * np.sqrt(2.0 / np.pi)),
+        mean=float(np.sqrt(2.0 / np.pi)),
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterDomainError, check_int, check_real
+from .errors import AccuracyError, ParameterDomainError, check_int, check_real
 from .rng import check_seed, substream
 
 # stable sampling (2-vCPU Xeon, AVX-512): 36-44 ns a variate in chunks of 10**4, 45-60 ns
@@ -73,19 +73,22 @@ def running_mean_trajectory(family, ns, seed, replication=0):
     pairs share a stream.  The stream is drawn in whole chunks of _CHUNK
     values up to the last size, so memory use is constant in it, and the
     mean at a size n depends only on (seed, replication, n), not on the
-    sizes around it.
+    sizes around it.  The sums run in the family's standard law and each mean
+    is multiplied by ``scale`` once; one that is not a float raises AccuracyError.
     """
     ns = _increasing(ns, "ns", 1)
     rng = substream(check_seed(seed), check_int(replication, "replication", 0, 2**64 - 1))
+    unit, family = family.scale, family.standard_law()
 
     means = []
     running_sum = 0.0
-    for drawn in range(0, ns[-1], _CHUNK):
-        csum = np.cumsum(family.sample_with(rng, _CHUNK))
-        means += [(running_sum + csum[n - drawn - 1]) / n
-                  for n in ns if drawn < n <= drawn + _CHUNK]
-        running_sum += csum[-1]
-    return TrajectorySeries(ns=tuple(ns), running_means=tuple(float(m) for m in means))
+    with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses an overflow
+        for drawn in range(0, ns[-1], _CHUNK):
+            csum = np.cumsum(family.sample_with(rng, _CHUNK))
+            means += [(running_sum + csum[n - drawn - 1]) / n
+                      for n in ns if drawn < n <= drawn + _CHUNK]
+            running_sum += csum[-1]
+    return TrajectorySeries(ns=tuple(ns), running_means=_scaled(means, unit, "running mean"))
 
 
 def trajectories(family, ns, replications, seed, threads=None):
@@ -118,11 +121,12 @@ def trajectories(family, ns, replications, seed, threads=None):
 def scaling_exponent_experiment(family, ns, replications, seed, threads=None):
     """Estimate the growth exponent of |running mean| by replication.
 
-    Replication r is the trajectory ``running_mean_trajectory(family, ns,
+    Replication r is ``running_mean_trajectory(family.standard_law(), ns,
     seed, r)``, all of them drawn by ``trajectories`` on `threads` threads;
     the row of each sample size n is the median over r of |running mean -
-    mu|, where mu is the family's closed-form mean (0 when it has none),
-    and log(median) is least-squares fitted against log(n).  So a row
+    mu|, mu the standard law's mean (0 when it has none), and log(median) is
+    least-squares fitted against log(n); only then is each median multiplied
+    by ``scale``, so the slope does not depend on the unit.  So a row
     depends only on (seed, replications, n), not on the other sizes in
     `ns`.  Centring matters for the magnitude families: their mean is
     positive, so the uncentred |mean| settles at it and the slope reads 0.
@@ -131,13 +135,25 @@ def scaling_exponent_experiment(family, ns, replications, seed, threads=None):
     slope is ``theory_slope(min(alpha, 2))``, alpha the tail index or 2.
     """
     ns = _increasing(ns, "ns", 2)
+    unit, family = family.scale, family.standard_law()
     mu = 0.0 if family.mean is None else family.mean
 
     rows = [t.running_means for t in trajectories(family, ns, replications, seed, threads)]
-    medians = [float(m) for m in np.median(np.abs(np.array(rows) - mu), axis=0)]
+    medians = np.median(np.abs(np.array(rows) - mu), axis=0)
+    if not medians.all():  # a law too narrow for the floats: every mean rounds to mu
+        raise AccuracyError("a median |running mean - mean| is 0 in the floats, so has no log")
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     alpha = 2.0 if family.tail_index is None else min(family.tail_index, 2.0)
-    return ScalingResult(slope, tuple(ns), tuple(medians), theory_slope(alpha))
+    return ScalingResult(slope, tuple(ns), _scaled(medians, unit, "median"), theory_slope(alpha))
+
+
+def _scaled(values, unit, what):
+    """`unit` times `values`, as a tuple of floats; :class:`AccuracyError` if one is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.multiply(values, unit)
+    if not np.isfinite(values).all():
+        raise AccuracyError(f"a {what} overflowed the floats")
+    return tuple(float(v) for v in values)
 
 
 def theory_slope(alpha):

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterDomainError, check_int, check_real
+from .errors import (
+    AccuracyError, InsufficientDataError, ParameterDomainError, check_int, check_real,
+)
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,16 @@ def _event(largest, second, kappa):
 
 
 def _count_events(mags, kappa):
-    """How many rows of the (rows, n) magnitudes hold the outlier event."""
-    return int(np.count_nonzero(_event(*_top_two(mags)[:2], kappa)))
+    """How many rows of the (rows, n) magnitudes hold the outlier event.
+
+    A largest value past the floats (inf) decides its row only when the second
+    is at most kappa times the largest float; another such row, or one with a
+    NaN (which argmax ranks largest), raises :class:`AccuracyError`.
+    """
+    largest, second = _top_two(mags)[:2]
+    if not ((largest <= _FLOAT_MAX) | (largest == np.inf) & (second <= kappa * _FLOAT_MAX)).all():
+        raise AccuracyError("a sample overflowed the floats where it decides the outlier event")
+    return int(np.count_nonzero(_event(largest, second, kappa)))
 
 
 def top_two_magnitudes(data):

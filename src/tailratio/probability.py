@@ -14,11 +14,11 @@ i.i.d. sample of size n.  Four routes are provided:
   over {x <= kappa*y}, an independent derivation path used to validate
   the single-integral reduction.
 
-The event does not depend on the unit, so ``exact_probability``,
-``mc_probability`` and ``joint_oracle_probability`` take the family's standard
-law; both quadrature routes integrate it by one tanh-sinh rule over (0, 1)
-(Takahasi and Mori, Publ. RIMS 9 (1974) 721-741) that halves its step until
-two levels agree within 1e-8 of the value, or raises :class:`AccuracyError`.
+Nothing here depends on the unit, so every route but the limit, and
+``check_theorem_conditions``, takes the family's standard law; both
+quadrature routes integrate it by one tanh-sinh rule over (0, 1) (Takahasi
+and Mori, Publ. RIMS 9 (1974) 721-741) that halves its step until two
+levels agree within 1e-8 of the value, or raises :class:`AccuracyError`.
 
 ``check_theorem_conditions`` numerically probes the side conditions under
 which the finite-n probability converges to kappa**alpha: the boundary
@@ -173,23 +173,18 @@ def exact_probability(family, n, kappa):
 
     with np.errstate(over="ignore"):  # a quantile beyond the floats is inf, where p is 0
         value, err = _tanh_sinh(lambda w, c: list(map(ratio, w, c)))
-    return ProbabilityResult(
-        value=min(max(value, 0.0), 1.0),
-        method="quadrature",
-        error_estimate=err,
-        kappa=kappa,
-        n=n,
-        neval=ratio.cache_info().misses,
-    )
+    return ProbabilityResult(value=min(max(value, 0.0), 1.0), method="quadrature",
+                             error_estimate=err, kappa=kappa, n=n, neval=ratio.cache_info().misses)
 
 
 def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     """Monte Carlo estimate of the outlier probability with a Wilson interval.
 
-    Each trial samples the family's standard law, as both quadrature routes
-    integrate it, from its own substream of (seed, trial index), so the
-    estimate is bit-identical for a given seed at any unit and however trials
-    are scheduled; events are counted exactly, a block of trials at a time.
+    Each trial samples the family's standard law from its own substream of
+    (seed, trial index), so the estimate is bit-identical for a given seed at
+    any unit and however trials are scheduled.  Events are counted exactly, a
+    block of trials at a time; an overflow that leaves one undecided raises
+    :class:`AccuracyError`.
     """
     n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
@@ -202,12 +197,13 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     except (ValueError, MemoryError) as exc:  # numpy refuses or cannot allocate n values
         raise ParameterDomainError(f"n is too large to sample, got {n}: {exc}") from None
     sample, hits = family.standard_law().sample_with, 0
-    for start in range(0, trials, len(block)):
-        mags = block[: min(len(block), trials - start)]
-        for row, i in enumerate(range(start, start + len(mags))):
-            mags[row] = sample(substream(seed, i), n)
-        np.abs(mags, out=mags)
-        hits += _count_events(mags, kappa)
+    with np.errstate(over="ignore", invalid="ignore"):  # _count_events judges an inf or NaN
+        for start in range(0, trials, len(block)):
+            mags = block[: min(len(block), trials - start)]
+            for row, i in enumerate(range(start, start + len(mags))):
+                mags[row] = sample(substream(seed, i), n)
+            np.abs(mags, out=mags)
+            hits += _count_events(mags, kappa)
     p_hat = hits / trials
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
     ci = wilson_interval(p_hat, trials, confidence)
@@ -267,14 +263,9 @@ def joint_oracle_probability(family, n, kappa):
         return values
 
     value, err = _tanh_sinh(outer)
-    return ProbabilityResult(
-        value=min(max(value, 0.0), 1.0),
-        method="joint_oracle",
-        error_estimate=err,
-        kappa=kappa,
-        n=n,
-        neval=6 * nodes,  # a node takes the outer density and 5 inner points
-    )
+    # neval: a node takes the outer density and 5 inner points
+    return ProbabilityResult(value=min(max(value, 0.0), 1.0), method="joint_oracle",
+                             error_estimate=err, kappa=kappa, n=n, neval=6 * nodes)
 
 
 def boundary_ratio(family, kappa, x):
@@ -299,7 +290,7 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     (a) evaluates F**n(kappa*x) * p(x)/p(kappa*x) at two points of the
     sequence edge + (start - edge) * 2**-k decreasing to the lower support
     edge, k = 0 and k = 29 (start is the probe range's lower end, else
-    edge + scale), and reports whether it decays to 0;
+    edge + 1), and reports whether it decays to 0;
     (b) integrates |g| for the integration-by-parts integrand
 
         g(x) = p'(x)/(kappa*p(kappa*x)) - p(x)*p'(kappa*x)/p(kappa*x)**2,
@@ -311,9 +302,11 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     |g| exactly when r is monotone on the grid, as for every closed form;
     (c) reports the boundary ratio at the upper end of the probe range.
 
-    `probe_range` is (lo, hi); None, or None at either end, takes that end
-    from the default (support_lo + scale/100, support_lo + 50*scale), with
-    the family's ``scale``.  `grid_points` is an integer in 2..10**7.
+    The probe runs on the standard law, so the fields do not depend on the
+    unit.  `probe_range` (lo, hi) is in the data's unit, each end checked
+    there and divided by ``scale``; None at either end takes the default,
+    support_lo/scale + 0.01 or + 50.  `notes` gives x in the data's unit.
+    `grid_points` is an integer in 2..10**7.
 
     Purely diagnostic: finite sampling cannot establish integrability over
     (0, inf), so the report is evidence, never a verdict.
@@ -321,26 +314,26 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     kappa = check_kappa(kappa)
     n = check_int(n, "n", 2, _N_MAX)
 
-    edge, unit = family.support_lo, family.scale
+    data_edge, unit, family = family.support_lo, family.scale, family.standard_law()
+    edge = family.support_lo
     lo, hi = (None, None) if probe_range is None else probe_range
-    lo = check_real(edge + unit / 100 if lo is None else lo, "probe_range[0]", edge, np.inf, "[)")
-    hi = check_real(edge + 50.0 * unit if hi is None else hi, "probe_range[1]", lo, np.inf)
+    lo = edge + 0.01 if lo is None else check_real(
+        lo, "probe_range[0]", data_edge, np.inf, "[)") / unit
+    hi = edge + 50.0 if hi is None else check_real(
+        hi, "probe_range[1]", data_edge, np.inf) / unit
+    if not lo < hi < np.inf:  # a default end may cross a given one
+        raise ParameterDomainError(f"probe_range must have lo < hi, each a float divided by "
+                                   f"the scale {unit!r}, got ({lo * unit:g}, {hi * unit:g})")
     grid_points = check_int(grid_points, "grid_points", 2, _GRID_MAX)
 
     # (a) decay toward the lower support edge, where F(kappa*x) -> 0
-    start = lo if lo > edge else edge + unit
+    start = lo if lo > edge else edge + 1.0
     decay = []
-    for k in (0, 29):
+    for k in (0, 29):  # 0 where F(kappa*x) is 0, else inf where p(kappa*x) is
         x = edge + (start - edge) * 2.0 ** -k
         f = float(family.cdf(kappa * x))
-        if f <= 0.0:
-            decay.append(0.0)
-            continue
-        den = float(family.pdf(kappa * x))
-        if den == 0.0:
-            decay.append(np.inf)
-            continue
-        decay.append(f**n * float(family.pdf(x)) / den)
+        den = float(family.pdf(kappa * x)) if f > 0.0 else 0.0
+        decay.append(f**n * float(family.pdf(x)) / den if den else np.inf if f > 0.0 else 0.0)
     zero_limit_ok = decay[-1] < 1e-8 or decay[-1] < decay[0] / 100.0
 
     # (b) total variation of r on the common support {x >= edge, kappa*x >= edge}
@@ -352,14 +345,9 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     integrand_integral = float(np.abs(np.diff(r[np.isfinite(r)])).sum())
 
     ratio = boundary_ratio(family, kappa, hi)
-    notes = (
-        f"edge probe at x -> {edge:g}: first {decay[0]:.3e}, last {decay[-1]:.3e}; "
-        f"integral of |g| over [{g_lo:g}, {hi:g}] = {integrand_integral:.3e}; "
-        f"boundary ratio at x = {hi:g}: {ratio:.6e}"
+    notes = (  # x in the data's unit
+        f"edge probe at x -> {data_edge:g}: first {decay[0]:.3e}, last {decay[-1]:.3e}; "
+        f"integral of |g| over [{g_lo * unit:g}, {hi * unit:g}] = {integrand_integral:.3e}; "
+        f"boundary ratio at x = {hi * unit:g}: {ratio:.6e}"
     )
-    return ConditionReport(
-        boundary_ratio_limit=float(ratio),
-        zero_limit_ok=zero_limit_ok,
-        integrand_integral=integrand_integral,
-        notes=notes,
-    )
+    return ConditionReport(float(ratio), zero_limit_ok, integrand_integral, notes)

@@ -6,6 +6,7 @@ the decimal separator, no grouping, and 17 significant digits so 64-bit
 floats round-trip losslessly.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -27,6 +28,20 @@ def _fmt(value):
 
 def _params_string(family):
     return ";".join(f"{k}={_fmt(float(v))}" for k, v in family.params.items())
+
+
+def flat(result):
+    """A result's fields in order, a nested result's in its place, ``ci`` as ci_lo, ci_hi."""
+    record = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if dataclasses.is_dataclass(value):
+            record.update(flat(value))
+        elif f.name == "ci":
+            record["ci_lo"], record["ci_hi"] = value
+        else:
+            record[f.name] = value
+    return record
 
 
 def probability_record(result, family):

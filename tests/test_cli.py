@@ -701,6 +701,42 @@ def test_smallest_rate_gives_the_unit_rate_record(command, capsys):
     assert records[0] == records[1]
 
 
+MC_OVERFLOW = ["prob-mc", "--trials", "20000", "--seed", "1", "--dist"]
+
+
+# Pareto's P(second <= kappa * largest) is kappa**alpha at every n.  A standard
+# value beyond the largest float M is inf, which leaves its row undecided unless
+# the second is at most kappa * M.  At kappa = 1e-300 such rows once gave 0.744,
+# 0.0573 and 0.00195 for kappa**alpha = 0.5012, 0.0316 and 0.0010, at exit 0;
+# at n = 50, kappa = 0.5, 24 of the 20000 rows hold two infs
+@pytest.mark.parametrize("alpha, kappa, n", [("0.001", "1e-300", "2"), ("0.005", "1e-300", "2"),
+                                             ("0.01", "1e-300", "2"), ("0.01", "0.5", "50")])
+def test_mc_refuses_an_event_the_floats_cannot_decide(alpha, kappa, n, capsys):
+    argv = [*MC_OVERFLOW, f"pareto:alpha={alpha}", "--kappa", kappa, "--n", n]
+    err = "error: a sample overflowed the floats where it decides the outlier event\n"
+    assert run_cli(argv, capsys) == (5, "", err)
+
+
+def test_mc_counts_a_decided_overflow(capsys):
+    # 39 of these rows hold one inf and a second below kappa * M: each an event
+    argv = [*MC_OVERFLOW, "pareto:alpha=0.01", "--kappa", "0.5", "--n", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"method": "monte_carlo", "family": "pareto", "params": "alpha=0.01;xm=1", "n": 2, '
+        '"kappa": 0.5, "value": 0.993, "error_estimate": 0.0005895337140486541, '
+        '"ci_lo": 0.9917460998660389, "ci_hi": 0.9940645525826418, "trials": 20000, '
+        '"seed": 1}\n')
+
+
+@pytest.mark.parametrize("mode", ["trajectory", "scaling"])
+def test_lln_demo_refuses_an_overflowed_sum(mode, capsys):
+    # the standard law's sum overflows at alpha = 0.005: it once printed 100,inf
+    argv = ["lln-demo", "--dist", "pareto:alpha=0.005", "--ns", "10,100", "--replications",
+            "3", "--seed", "1", "--mode", mode]
+    assert run_cli(argv, capsys) == (5, "", "error: a running mean overflowed the floats\n")
+
+
 def test_n_too_large_to_sample_exit_code(capsys):
     n = 2**63 - 1  # accepted as an int64, refused by numpy before it takes memory
     code, out, err = run_cli(["prob-mc", "--dist", PARETO, "--n", str(n), "--seed", "1"], capsys)

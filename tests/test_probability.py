@@ -1,5 +1,8 @@
 """The outlier-event probability along its independent computation routes."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 from functools import cache
@@ -9,6 +12,7 @@ import pytest
 from scipy import integrate
 
 import tailratio as tr
+from tailratio import cli
 from tailratio.errors import (
     AccuracyError,
     CapabilityError,
@@ -286,6 +290,63 @@ def test_no_route_sees_the_unit(route, name, n, unit):
     # Monte Carlo and both quadrature routes give the unit-1 record bit for
     # bit, at the ends of the floats included
     assert unit_record(route, name, n, unit) == unit_record(route, name, n, 1.0)
+
+
+def strict_float(text):
+    raise ValueError(f"not a JSON number: {text}")
+
+
+@cache
+def command_output(command, name, unit):
+    """Exit code and stdout of `command` on UNIT_MAKERS[name](unit), run in process."""
+    argv = {"check-conditions": ["check-conditions"],
+            "lln-demo": ["lln-demo", "--ns", "10,100,1000", "--replications", "5", "--seed", "1",
+                         "--threads", "1"]}[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--dist", spec_id(UNIT_MAKERS[name](unit))])
+    return code, out.getvalue()
+
+
+UNIT_GRID = [(name, unit) for name in sorted(UNIT_MAKERS) for unit in UNITS
+             if not (name == "exponential" and unit == 1e-320)]
+
+
+@pytest.mark.parametrize("name, unit", UNIT_GRID)
+def test_check_conditions_does_not_see_the_unit(name, unit):
+    # the probe runs on the standard law: at the default probe range, the
+    # report's three fields are the unit-1 fields bit for bit
+    code, out = command_output("check-conditions", name, unit)
+    if name == "stable":  # no density
+        assert code == 3
+        return
+    fields = ("boundary_ratio_limit", "zero_limit_ok", "integrand_integral")
+    record, base = (json.loads(command_output("check-conditions", name, u)[1],
+                               parse_constant=strict_float) for u in (unit, 1.0))
+    assert code == 0
+    assert [record[k] for k in fields] == [base[k] for k in fields]
+
+
+def scaling_table(out):
+    """The medians and the slope of an lln-demo scaling table."""
+    lines = out.splitlines()
+    return [float(line.split(",")[1]) for line in lines[1:-2]], float(lines[-1].split(",")[0])
+
+
+@pytest.mark.parametrize("name, unit", UNIT_GRID)
+def test_lln_demo_does_not_see_the_unit(name, unit):
+    # the running means are summed in the standard law and the slope fitted
+    # there, so the slope is the unit-1 slope and each median the family's
+    # scale (1/rate, not quite `unit`) times the unit-1 median; where that
+    # product is not a float, the command refuses
+    code, out = command_output("lln-demo", name, unit)
+    base_medians, base_slope = scaling_table(command_output("lln-demo", name, 1.0)[1])
+    products = [UNIT_MAKERS[name](unit).scale * m for m in base_medians]
+    if not all(map(math.isfinite, products)):
+        assert (code, out) == (5, "")
+        return
+    assert code == 0
+    assert scaling_table(out) == (products, base_slope)
 
 
 class TestMonteCarlo:
