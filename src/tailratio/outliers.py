@@ -142,7 +142,9 @@ def ksigma_outliers(data, k):
     s = x.std()  # population convention, divide by n
     if s == 0.0:
         return set()
-    return set(np.flatnonzero(np.abs(x - x.mean()) > k * s).tolist())
+    d = x - x.mean()
+    np.abs(d, out=d)  # in place: one deviation array at a time
+    return set(np.flatnonzero(d > k * s).tolist())
 
 
 def block_event_frequency(data, block_size, kappa):

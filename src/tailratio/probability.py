@@ -284,6 +284,18 @@ def boundary_ratio(family, kappa, x):
     return float(family.pdf(x)) / den
 
 
+def _times(x, unit):
+    """x * unit in the style of ``:g``, exact where the product is beyond the floats."""
+    product = x * unit
+    if math.isfinite(product):
+        return f"{product:g}"
+    # imported here: it adds about 0.35 MB of peak RSS to `import tailratio.cli`
+    import decimal
+
+    six = decimal.Context(prec=6)  # the six significant digits of :g
+    return f"{six.multiply(decimal.Decimal(x), decimal.Decimal(unit)).normalize(six):g}"
+
+
 def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401):
     """Numerically probe the side conditions of the convergence theorem.
 
@@ -347,7 +359,7 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     ratio = boundary_ratio(family, kappa, hi)
     notes = (  # x in the data's unit
         f"edge probe at x -> {data_edge:g}: first {decay[0]:.3e}, last {decay[-1]:.3e}; "
-        f"integral of |g| over [{g_lo * unit:g}, {hi * unit:g}] = {integrand_integral:.3e}; "
-        f"boundary ratio at x = {hi * unit:g}: {ratio:.6e}"
+        f"integral of |g| over [{_times(g_lo, unit)}, {_times(hi, unit)}] = "
+        f"{integrand_integral:.3e}; boundary ratio at x = {_times(hi, unit)}: {ratio:.6e}"
     )
     return ConditionReport(float(ratio), zero_limit_ok, integrand_integral, notes)

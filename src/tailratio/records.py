@@ -6,6 +6,7 @@ the decimal separator, no grouping, and 17 significant digits so 64-bit
 floats round-trip losslessly.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -88,42 +89,60 @@ def read_values(path=None):
     float64 array.  numpy's C parser reads the input; a line it refuses, or a
     value that is not finite (``nan``, ``inf`` or too large for a float) sends
     it through float() line by line, which names that line and takes ``1_000``.
+
+    A file, or a standard input redirected from one, is parsed where it lies,
+    from its current offset, so peak memory is the parsed values plus numpy's
+    read buffer; a pipe is held in memory once, as bytes.
     """
     if path is None or path == "-":
         stdin = getattr(sys.stdin, "buffer", None)
-        data = sys.stdin.read().encode("utf-8") if stdin is None else stdin.read()
-    else:
-        # the builtin open: numpy given a path would also fetch URLs and
-        # read a compressed sibling of a missing file
-        with open(path, "rb") as fh:
-            data = fh.read()
+        if stdin is None:
+            stdin = io.BytesIO(sys.stdin.read().encode("utf-8"))
+        return _parse(stdin)
+    # the builtin open: numpy given a path would also fetch URLs and
+    # read a compressed sibling of a missing file
+    with open(path, "rb") as fh:
+        return _parse(fh)
 
+
+def _parse(source):
+    """The values in the binary stream `source`, from its position on; it is left open."""
+    if not source.seekable():  # both parsers may read it, so a pipe is read once
+        source = io.BytesIO(source.read())
+    start = source.tell()
+
+    @contextlib.contextmanager
     def lines():
-        # the input is read once, so a pipe can be parsed twice
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+        source.seek(start)
+        text = io.TextIOWrapper(source, encoding="utf-8-sig")
+        try:
+            yield text
+        finally:
+            text.detach()  # a wrapper closes its source when it closes
 
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), lines() as text:
             # no data is no error here: callers report too few values
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(lines(), comments="#", ndmin=2)
+            table = np.loadtxt(text, comments="#", ndmin=2)
         # ndmin=2, so that an input of one line "1 2" is a (1, 2) row, not two values
         if table.shape[1] == 1 and np.isfinite(table).all():
             return table[:, 0]
     except ValueError:
         pass
     values = []
-    for lineno, line in enumerate(lines(), start=1):
-        stripped = line.partition("#")[0].strip()
-        if not stripped:
-            continue
-        try:
-            value = float(stripped)
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: not a number: {stripped!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: not a finite number: {stripped!r}")
-        values.append(value)
+    with lines() as text:
+        for lineno, line in enumerate(text, start=1):
+            stripped = line.partition("#")[0].strip()
+            if not stripped:
+                continue
+            try:
+                value = float(stripped)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: not a number: {stripped!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: not a finite number: {stripped!r}")
+            values.append(value)
     return np.array(values, dtype=float)

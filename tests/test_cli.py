@@ -543,6 +543,16 @@ class TestCheckConditions:
         _, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--probe-hi", "20"], capsys)
         assert "over [2, 20]" in json.loads(out)["notes"]
 
+    @pytest.mark.parametrize("dist,grid", [
+        ("pareto:alpha=1.5,xm=1e308", "[2e+308, 5.1e+309]"),
+        ("half_normal:sigma=1e308", "[1e+306, 5e+309]"),
+    ], ids=["pareto", "half_normal"])
+    def test_range_beyond_the_floats_written_exactly(self, capsys, dist, grid):
+        # the probe runs on the standard law; only the notes give x in the data's unit
+        code, out, _ = run_cli(["check-conditions", "--dist", dist], capsys)
+        notes = json.loads(out)["notes"]
+        assert code == 0 and f"over {grid}" in notes and "inf" not in notes
+
 
 def _flags(command):
     return [cli._flag(o) for o in cli._COMMANDS[command][1] + (cli._OUTPUT,)] + ["--config"]

@@ -1,5 +1,7 @@
 """Top-two selection and the two outlier rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -134,6 +136,17 @@ class TestKSigma:
     def test_squares_beyond_the_float_range(self, data, flagged):
         # unscaled, a sum behind the mean or s overflows, and every index is hidden
         assert tr.ksigma_outliers(data, 1.0) == flagged
+
+    def test_holds_one_deviation_array(self):
+        # numpy's buffers are traced: beside x, one array of |x - mean| at a time
+        x = np.random.default_rng(5).standard_normal(200_000)
+        tracemalloc.start()
+        try:
+            tr.ksigma_outliers(x, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
     def test_bad_k(self):
         with pytest.raises(ParameterDomainError):

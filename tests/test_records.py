@@ -1,10 +1,13 @@
 """Data ingestion: read_values on files and on standard input."""
 
+import contextlib
+import gc
 import gzip
 import io
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,3 +169,53 @@ def test_pipe_read_once_for_both_parsers(tmp_path, text, expected):
             assert read_values(str(fifo)).tolist() == expected
     finally:
         writer.join()
+
+
+def test_file_parsed_where_it_lies(tmp_path):
+    # numpy's buffers are traced: the values and a read buffer, not the file's bytes too
+    path = tmp_path / "data.txt"
+    values = np.random.default_rng(11).random(200_000)
+    path.write_text("".join(f"{v:.17g}\n" for v in values), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        got = read_values(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == values.tobytes()
+    assert peak < 1.5 * got.nbytes
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [("9\n1\n2\n", [1.0, 2.0]), ("9\n1_000\n2\n", [1000.0, 2.0]),
+     ("9\n1\nabc\n", "line 2: not a number: 'abc'")],
+    ids=["parser", "float", "bad-line"],
+)
+def test_seekable_stdin_read_from_where_it_stands(tmp_path, monkeypatch, text, expected):
+    # the first line is consumed: both parsers start at the offset stdin had, not
+    # at 0, and neither closes it
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "rb") as fh:
+        fh.readline()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(fh, encoding="utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                read_values()
+        else:
+            assert read_values().tolist() == expected
+        assert not sys.stdin.buffer.closed
+
+
+@pytest.mark.parametrize("text", ["1\n2\n", "1_000\n2\n", "1\nabc\n"],
+                         ids=["parser", "float", "bad-line"])
+def test_file_closed_after_either_parser(tmp_path, text):
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.suppress(ValueError):  # the bad line
+            read_values(str(path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
