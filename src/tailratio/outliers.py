@@ -9,6 +9,8 @@ detector is immune to.
 
 All operations are pure functions over immutable sequences of finite
 reals; a NaN or infinite value raises ParameterDomainError naming its index.
+Every kernel walks its input in blocks of at most 2**13 values (64 KiB), or of
+max(1, 2**13 // n) whole samples of n, so a call holds its input once plus one block.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,14 @@ from .errors import (
 )
 
 _FLOAT_MAX = np.finfo(float).max
+
+# the kernels here, and mc_probability, work in blocks of at most this many values
+_BLOCK_VALUES = 2**13
+
+
+def _block_rows(n):
+    """Samples of n values a block: as many as fit in _BLOCK_VALUES, at least one."""
+    return max(1, _BLOCK_VALUES // n)
 
 
 @dataclass(frozen=True)
@@ -54,9 +64,8 @@ def _finite_values(data, need, purpose):
         raise InsufficientDataError(
             f"need at least {need} values {purpose}, got {x.size}"
         )
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        i = int(bad[0])
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):  # a NaN makes both NaN
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ParameterDomainError(f"value at index {i} is not finite: {x[i]}")
     return x
 
@@ -102,8 +111,14 @@ def top_two_magnitudes(data):
     -------
     TopTwo
     """
-    mags = np.abs(_finite_values(data, 2, "to rank the top two"))  # a fresh array
-    return TopTwo(*(a.item() for a in _top_two(mags[None])))
+    x = _finite_values(data, 2, "to rank the top two")
+    top = []  # (-magnitude, index) pairs in order: the best first, and the earlier of a tie
+    for at in range(0, x.size, _BLOCK_VALUES):
+        mags = np.abs(x[None, at:at + _BLOCK_VALUES])
+        largest, second, i, j = (a.item() for a in _top_two(mags))
+        top = sorted(top + [(-largest, at + i), (-second, at + j)])[:2]
+    (largest, i), (second, j) = top
+    return TopTwo(-largest, -second, i, j)
 
 
 def is_outlier(data, kappa):
@@ -139,12 +154,30 @@ def ksigma_outliers(data, k):
     e = int(np.frexp(max(x.max(), -x.min()))[1])  # max|x| < 2**e
     if 2 * e + x.size.bit_length() > 1023:  # n * 2**(2e) bounds the sum of squares
         x = np.ldexp(x, -e)
-    s = x.std()  # population convention, divide by n
+    m = x.mean()
+    s = np.sqrt(_sum_of_squares(x, m) / x.size)  # x.std(), population convention
     if s == 0.0:
         return set()
-    d = x - x.mean()
-    np.abs(d, out=d)  # in place: one deviation array at a time
-    return set(np.flatnonzero(d > k * s).tolist())
+    flagged = set()
+    for start in range(0, x.size, _BLOCK_VALUES):
+        d = np.abs(x[start:start + _BLOCK_VALUES] - m)
+        flagged.update((np.flatnonzero(d > k * s) + start).tolist())
+    return flagged
+
+
+def _sum_of_squares(x, m):
+    """The sum of (x - m)**2 as x.std() adds it, bit for bit, a block at a time.
+
+    numpy adds more than 128 floats as two halves split at n // 2 rounded down
+    to a multiple of 8, and fewer in one loop; this follows its splits to blocks.
+    numpy does not promise that order; test_sum_of_squares_is_numpy_std_bit_for_bit checks it.
+    """
+    if x.size > max(_BLOCK_VALUES, 128):
+        half = x.size // 2 - x.size // 2 % 8
+        return _sum_of_squares(x[:half], m) + _sum_of_squares(x[half:], m)
+    d = x - m
+    d *= d
+    return np.add.reduce(d)
 
 
 def block_event_frequency(data, block_size, kappa):
@@ -159,6 +192,7 @@ def block_event_frequency(data, block_size, kappa):
     kappa = check_kappa(kappa)
     n = check_int(block_size, "block_size", 2)
     x = _finite_values(data, n, "for one full block")
-    blocks = x.size // n
-    mags = np.abs(x[: blocks * n]).reshape(blocks, n)
-    return _count_events(mags, kappa) / blocks, blocks
+    blocks, step = x.size // n, _block_rows(n)
+    samples = x[: blocks * n].reshape(blocks, n)  # a view
+    hits = sum(_count_events(np.abs(samples[i:i + step]), kappa) for i in range(0, blocks, step))
+    return hits / blocks, blocks

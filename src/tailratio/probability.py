@@ -41,7 +41,7 @@ from .errors import (
     AccuracyError, ParameterDomainError, SingularityError, check_int, check_real,
 )
 from .intervals import wilson_interval
-from .outliers import _count_events, check_kappa
+from .outliers import _block_rows, _count_events, check_kappa
 from .rng import check_seed, substream
 
 # the tanh-sinh nodes t = j*h span [-_T, _T], where w and 1 - w fall to 1e-275
@@ -64,10 +64,6 @@ _N_MAX = 2**63 - 1
 
 # check_theorem_conditions' largest grid: 80 MB an array, its density taken point by point
 _GRID_MAX = 10**7
-
-# mc_probability counts events over blocks of samples of at most this many
-# values (64 KiB), at least one sample a block
-_MC_BLOCK_VALUES = 2**13
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     confidence = check_real(confidence, "confidence", 0, 1)
 
     try:
-        block = np.empty((max(1, _MC_BLOCK_VALUES // n), n))
+        block = np.empty((_block_rows(n), n))
     except (ValueError, MemoryError) as exc:  # numpy refuses or cannot allocate n values
         raise ParameterDomainError(f"n is too large to sample, got {n}: {exc}") from None
     sample, hits = family.standard_law().sample_with, 0

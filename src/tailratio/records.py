@@ -91,8 +91,9 @@ def read_values(path=None):
     it through float() line by line, which names that line and takes ``1_000``.
 
     A file, or a standard input redirected from one, is parsed where it lies,
-    from its current offset, so peak memory is the parsed values plus numpy's
-    read buffer; a pipe is held in memory once, as bytes.
+    from its current offset; a pipe is spooled to a temporary file (RAM, but
+    not the process's, on a tmpfs; bytes in memory if no file can be made).  So
+    peak RSS is the parsed values plus numpy's read buffer, from any source.
     """
     if path is None or path == "-":
         stdin = getattr(sys.stdin, "buffer", None)
@@ -107,8 +108,17 @@ def read_values(path=None):
 
 def _parse(source):
     """The values in the binary stream `source`, from its position on; it is left open."""
-    if not source.seekable():  # both parsers may read it, so a pipe is read once
-        source = io.BytesIO(source.read())
+    if not source.seekable():  # both parsers may read it, so a pipe is spooled to disk once
+        import shutil
+        import tempfile
+        try:
+            spool = tempfile.TemporaryFile()
+        except OSError:  # no writable temporary directory: hold the bytes instead
+            spool = io.BytesIO()
+        with spool:
+            shutil.copyfileobj(source, spool)
+            spool.seek(0)
+            return _parse(spool)
     start = source.tell()
 
     @contextlib.contextmanager

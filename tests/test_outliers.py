@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tailratio as tr
+from tailratio import outliers
 from tailratio.errors import InsufficientDataError, ParameterDomainError
 
 finite_floats = st.floats(
@@ -218,3 +219,81 @@ class TestNonFinite:
     def test_rejected_with_index(self, call, bad):
         with pytest.raises(ParameterDomainError, match="index 2"):
             call([1.0, 2.0, bad, 10.0])
+
+
+# inputs that put ties, signs and the largest value on the edges of 8-value blocks
+EDGES = {
+    "tie-across-an-edge": [0.0] * 7 + [5.0, 5.0] + [1.0] * 7,
+    "signed-tie-across-an-edge": [1.0] * 3 + [-5.0] + [2.0] * 5 + [5.0] + [0.0] * 6,
+    "second-tie-across-an-edge": [9.0] + [4.0] * 7 + [-4.0] * 8 + [4.0],
+    "largest-alone-in-the-last-block": [float(v) for v in range(16)] + [99.0],
+    "all-zeros": [0.0] * 20,
+    "n=2": [-3.0, 3.0],
+    "rounded-cauchy": np.round(np.random.default_rng(28).standard_cauchy(300)).tolist(),
+}
+
+
+class TestBlockEdges:
+    """Each kernel, in blocks of 8 values, against its whole-array formula."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_eight(self, monkeypatch):
+        monkeypatch.setattr(outliers, "_BLOCK_VALUES", 8)
+
+    @pytest.mark.parametrize("data", EDGES.values(), ids=EDGES.keys())
+    def test_top_two(self, data):
+        mags = np.abs(data)
+        rank = np.argsort(-mags, kind="stable")  # the earlier of a tie first
+        expected = (mags[rank[0]], mags[rank[1]], rank[0], rank[1])
+        top = tr.top_two_magnitudes(data)
+        assert top == tr.TopTwo(*expected)
+        assert tr.is_outlier(data, 0.5).top_two == top
+
+    @pytest.mark.parametrize("name,block_size", [
+        (name, n) for name, data in EDGES.items() for n in (2, 3, 5, 8, 9, 17) if n <= len(data)])
+    def test_block_frequency(self, name, block_size):
+        data = EDGES[name]
+        blocks = len(data) // block_size
+        mags = np.sort(np.abs(data[: blocks * block_size]).reshape(blocks, -1), axis=1)
+        hits = np.count_nonzero(mags[:, -2] <= 0.5 * mags[:, -1])
+        assert tr.block_event_frequency(data, block_size, 0.5) == (hits / blocks, blocks)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("data", [
+        *EDGES.values(), np.random.default_rng(29).standard_cauchy(1000),
+        np.random.default_rng(30).standard_normal(333) + 1e3,
+    ], ids=[*EDGES.keys(), "cauchy-1000", "normal-333"])
+    def test_ksigma(self, data, k):
+        x = np.asarray(data)
+        s = x.std()
+        expected = set(np.flatnonzero(np.abs(x - x.mean()) > k * s).tolist()) if s else set()
+        assert tr.ksigma_outliers(x, k) == expected
+
+
+def test_sum_of_squares_is_numpy_std_bit_for_bit():
+    # numpy's pairwise tree, followed down to blocks, adds the same floats in the same order
+    rng = np.random.default_rng(2028)
+    base = np.concatenate([rng.standard_cauchy(1_500_000), rng.standard_normal(1_500_000) + 7.0])
+    block = outliers._BLOCK_VALUES
+    sizes = {int(v) for v in np.geomspace(2, base.size, 180)}  # about 200 sizes in all
+    sizes |= {m * c + d for m in (8, 128, block) for c in (1, 2, 3, 64, 257, 366)
+              for d in (-1, 0, 1)}
+    for n in sorted(sizes):
+        x = base[(at := int(rng.integers(0, base.size - n + 1))):at + n]
+        assert np.sqrt(outliers._sum_of_squares(x, x.mean()) / n) == x.std(), n
+
+
+@pytest.mark.parametrize("call", [
+    tr.top_two_magnitudes, lambda x: tr.is_outlier(x, 0.5),
+    lambda x: tr.block_event_frequency(x, 100, 0.5), lambda x: tr.ksigma_outliers(x, 3.0),
+], ids=["top_two", "is_outlier", "block_frequency", "ksigma"])
+def test_kernels_hold_one_block(call):
+    # numpy's buffers are traced: beside the 7.6 MiB input, one 64 KiB block at a time
+    x = np.random.default_rng(31).standard_normal(10**6)
+    tracemalloc.start()
+    try:
+        call(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -188,6 +188,62 @@ def test_file_parsed_where_it_lies(tmp_path):
 
 @pytest.mark.parametrize(
     "text,expected",
+    [("1_000\n2\n", [1000.0, 2.0]), ("1\nabc\n", "line 2: not a number: 'abc'")],
+    ids=["underscore", "bad-line"],
+)
+def test_pipe_held_as_bytes_without_a_temporary_directory(text, expected, monkeypatch):
+    import tempfile
+
+    def unwritable():
+        raise FileNotFoundError("no usable temporary directory")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", unwritable)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(text.encode("utf-8"))  # a few bytes: the pipe's buffer holds them
+    with os.fdopen(read_end, "rb") as pipe:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(pipe))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                read_values()
+        else:
+            assert read_values().tolist() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_costs_what_a_file_costs(tmp_path):
+    # a pipe is spooled to a temporary file, not held as bytes: the traced peaks
+    # differ by at most the copy's buffer
+    values = np.random.default_rng(12).random(100_000)
+    data = "".join(f"{v:.17g}\n" for v in values).encode("utf-8")
+    path, fifo = tmp_path / "data.txt", tmp_path / "pipe"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    def traced_read(source):
+        tracemalloc.start()
+        try:
+            return read_values(str(source)), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    from_file, file_peak = traced_read(path)
+    writer = threading.Thread(target=write)
+    writer.start()  # it waits in open() until the pipe has a reader
+    try:
+        from_pipe, pipe_peak = traced_read(fifo)
+    finally:
+        writer.join()
+    assert from_file.tobytes() == from_pipe.tobytes() == values.tobytes()
+    assert abs(pipe_peak - file_peak) < 0.1 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text,expected",
     [("9\n1\n2\n", [1.0, 2.0]), ("9\n1_000\n2\n", [1000.0, 2.0]),
      ("9\n1\nabc\n", "line 2: not a number: 'abc'")],
     ids=["parser", "float", "bad-line"],
