@@ -90,13 +90,17 @@ class TailFamily:
         return self.sample_with(substream(seed), count)
 
     def sample_with(self, rng, count):
-        """Draw `count` values from an already-constructed generator."""
+        """Draw `count` values from an already-constructed generator.
+
+        A new float array that belongs to the caller: at scale 1 it is the
+        sampler's (or quantile's) own array, not a copy of it.
+        """
         count = check_int(count, "count", 1)
         if (sampler := self._sampler) is not None:
-            return self.scale * sampler(rng, count)
-        if (quantile := self._quantile) is None:
-            self._require("_quantile", "sampler")  # raises CapabilityError
-        return self.scale * quantile(rng.random(count))
+            values = sampler(rng, count)
+        else:  # raises CapabilityError before drawing when there is no quantile either
+            values = self._require("_quantile", "sampler")(rng.random(count))
+        return values if self.scale == 1.0 else self.scale * values
 
     def standard_law(self):
         """The family in its own unit: scale 1, and the support edge divided by the scale."""

@@ -84,7 +84,8 @@ def running_mean_trajectory(family, ns, seed, replication=0):
     running_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses an overflow
         for drawn in range(0, ns[-1], _CHUNK):
-            csum = np.cumsum(family.sample_with(rng, _CHUNK))
+            csum = family.sample_with(rng, _CHUNK)
+            np.cumsum(csum, out=csum)
             means += [(running_sum + csum[n - drawn - 1]) / n
                       for n in ns if drawn < n <= drawn + _CHUNK]
             running_sum += csum[-1]
@@ -124,27 +125,64 @@ def scaling_exponent_experiment(family, ns, replications, seed, threads=None):
     Replication r is ``running_mean_trajectory(family.standard_law(), ns,
     seed, r)``, all of them drawn by ``trajectories`` on `threads` threads;
     the row of each sample size n is the median over r of |running mean -
-    mu|, mu the standard law's mean (0 when it has none), and log(median) is
-    least-squares fitted against log(n); only then is each median multiplied
-    by ``scale``, so the slope does not depend on the unit.  So a row
-    depends only on (seed, replications, n), not on the other sizes in
-    `ns`.  Centring matters for the magnitude families: their mean is
-    positive, so the uncentred |mean| settles at it and the slope reads 0.
-    The median, not the mean, is taken across replications: |mean| has
-    no finite expectation when the tail index is at most 1.  The theory
-    slope is ``theory_slope(min(alpha, 2))``, alpha the tail index or 2.
+    mu|, mu the standard law's mean (0 when it has none), read off a sort
+    of the column as np.median reads it.  The slope is the least-squares
+    slope of log(median) against log(n), taken from exact integer sums and
+    rounded once: correctly rounded, whatever BLAS or LAPACK numpy was
+    built with.  Only then is each median multiplied by ``scale``, so the
+    slope does not depend on the unit.  A row depends only on (seed,
+    replications, n), not on the other sizes in `ns`.  Centring matters
+    for the magnitude families: their mean is positive, so the uncentred
+    |mean| settles at it and the slope reads 0.  The median, not the mean,
+    is taken across replications: |mean| has no finite expectation when the
+    tail index is at most 1.  The theory slope is
+    ``theory_slope(min(alpha, 2))``, alpha the tail index or 2.
     """
     ns = _increasing(ns, "ns", 2)
     unit, family = family.scale, family.standard_law()
     mu = 0.0 if family.mean is None else family.mean
 
     rows = [t.running_means for t in trajectories(family, ns, replications, seed, threads)]
-    medians = np.median(np.abs(np.array(rows) - mu), axis=0)
+    with np.errstate(over="ignore"):  # _scaled refuses an overflowed median
+        medians = _column_medians(np.abs(np.array(rows) - mu))
     if not medians.all():  # a law too narrow for the floats: every mean rounds to mu
         raise AccuracyError("a median |running mean - mean| is 0 in the floats, so has no log")
-    slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
+    scaled = _scaled(medians, unit, "median")
+    slope = _least_squares_slope(np.log(ns), np.log(medians))
     alpha = 2.0 if family.tail_index is None else min(family.tail_index, 2.0)
-    return ScalingResult(slope, tuple(ns), _scaled(medians, unit, "median"), theory_slope(alpha))
+    return ScalingResult(slope, tuple(ns), scaled, theory_slope(alpha))
+
+
+def _column_medians(table):
+    """The median of each column of the finite 2-d `table`, as ``np.median(table, axis=0)``.
+
+    The middle row of the column-sorted table, or the mean ``(lo + hi) / 2`` of
+    the two middle rows for an even count, which is what np.median computes;
+    np.median would also import numpy.ma, to look for a masked array.
+    """
+    table = np.sort(table, axis=0)
+    half = len(table) // 2
+    return table[half] if len(table) % 2 else (table[half - 1] + table[half]) / 2.0
+
+
+def _least_squares_slope(x, y):
+    """The least-squares slope of the float points (x, y), correctly rounded.
+
+    Each float is an integer over a power of two, so with X = x * 2**a and
+    Y = y * 2**b integers the slope (k sum XY - sum X sum Y) * 2**a /
+    ((k sum X**2 - (sum X)**2) * 2**b) is a ratio of two integers, which
+    Python's int division rounds once; no BLAS or LAPACK build can move it.
+    fractions.Fraction would give the same float, but imports decimal (0.3 MB).
+    """
+    def integers(values):  # each v times the least power of two that makes every v an integer
+        ratios = [v.as_integer_ratio() for v in values.tolist()]
+        scale = max(q for _, q in ratios)
+        return [p * (scale // q) for p, q in ratios], scale
+
+    (x, x_scale), (y, y_scale) = integers(x), integers(y)
+    k, sx, sy = len(x), sum(x), sum(y)
+    return ((k * sum(a * b for a, b in zip(x, y)) - sx * sy) * x_scale
+            / ((k * sum(a * a for a in x) - sx * sx) * y_scale))
 
 
 def _scaled(values, unit, what):

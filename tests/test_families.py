@@ -308,6 +308,15 @@ class TestSampling:
         x = fam.sample(100, 5)
         assert np.array_equal(x, 2.0 * substream(5).random(100))
 
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_unit_scale_returns_the_draw_itself(self, scale):
+        # at scale 1 no copy is made; otherwise the draw is scaled into a new array
+        drawn = np.arange(1.0, 6.0)
+        fam = tr.TailFamily(name="fixed", scale=scale, _sampler=lambda rng, size: drawn)
+        got = fam.sample(5, 1)
+        assert (got is drawn) == (scale == 1.0)
+        assert got.tobytes() == (scale * np.arange(1.0, 6.0)).tobytes()
+
     def test_missing_sampler_capability(self):
         fam = tr.TailFamily(name="cdf_only", _cdf=lambda x: x)
         with pytest.raises(CapabilityError):

@@ -4,10 +4,11 @@ No command loads any scipy module: numpy is the only runtime dependency.
 Quadrature, the normal quantile and the half-normal family's erf are the
 library's own or the standard library's; scipy is only the tests' reference.
 A command that draws no random numbers loads no numpy.random module either;
-one that draws does, which shows that the check can see it.
+one that draws does, which shows that the check can see it.  No command loads
+numpy.ma, which np.median imports to look for masked arrays.
 
 Each case runs in a fresh interpreter, because sys.modules keeps whatever an
-earlier import in the test process loaded; both checks read that one run.
+earlier import in the test process loaded; every check reads that one run.
 """
 
 import ast
@@ -102,6 +103,11 @@ def test_scipy_modules_loaded(case, modules_loaded):
 def test_numpy_random_loaded_only_to_draw(case, modules_loaded):
     loaded = modules_loaded(case)
     assert any(m.split(".")[:2] == ["numpy", "random"] for m in loaded) == (case in DRAWS)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_numpy_ma_loaded_by_no_command(case, modules_loaded):
+    assert [m for m in modules_loaded(case) if m.split(".")[:2] == ["numpy", "ma"]] == []
 
 
 # the package's __init__ imports names to re-export them

@@ -2,13 +2,14 @@
 
 import concurrent.futures
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tailratio as tr
 from tailratio import lln
-from tailratio.errors import CapabilityError, ParameterDomainError
+from tailratio.errors import AccuracyError, CapabilityError, ParameterDomainError
 from tailratio.families import TailFamily
 from tailratio.rng import substream
 
@@ -206,6 +207,75 @@ class TestScalingExperiment:
         for ns in ([100], [100, 50], [0, 10]):
             with pytest.raises(ParameterDomainError):
                 tr.scaling_exponent_experiment(fam, ns, 10, seed=1)
+
+
+def exact_slope(x, y):
+    """The least-squares slope of the float points (x, y), in fractions, rounded once.
+
+    The centred form sum((x - mean x)(y - mean y)) / sum((x - mean x)**2),
+    which equals lln's uncentred integer form in exact arithmetic only.
+    """
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
+                 / sum((a - x_bar) ** 2 for a in x))
+
+
+class TestMedianAndSlope:
+    """The table's medians are np.median's, bit for bit; its slope is the exact fit's."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6, 7, 199, 200])
+    def test_column_medians_are_numpy_medians(self, rows):
+        table = np.abs(np.random.default_rng(rows).standard_cauchy((rows, 4)))
+        assert lln._column_medians(table).tobytes() == np.median(table, axis=0).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_column_medians_of_tied_columns(self, rows):
+        # ties inside a column, a constant column, two equal columns, and two
+        # middle values whose sum overflows, as np.median's mean does
+        table = np.array([[1.0, 2.0, 0.5, 0.5, 1e308],
+                          [1.0, 2.0, 0.5, 0.5, 1e308],
+                          [3.0, 2.0, 0.25, 0.25, 5e-324],
+                          [1.0, 2.0, 0.5, 0.5, 1e308],
+                          [0.0, 2.0, 7.0, 7.0, 1e308]])[:rows]
+        with np.errstate(over="ignore"):
+            expected = np.median(table, axis=0)
+            assert lln._column_medians(table).tobytes() == expected.tobytes()
+
+    def test_slope_is_the_exact_fit_rounded(self):
+        # 2 to 6 points with distinct x: within 1e-9 of polyfit, equal to the exact slope
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            ns = np.unique(rng.integers(1, 10**7, rng.integers(2, 7)))
+            if len(ns) < 2:
+                continue
+            x, y = np.log(ns), np.log(np.abs(rng.standard_cauchy(len(ns))) + 1e-3)
+            slope = lln._least_squares_slope(x, y)
+            assert slope == exact_slope(x.tolist(), y.tolist())
+            assert slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-9)
+
+    def test_an_overflowed_median_is_refused(self):
+        # at n = 1 the two replications' means are 1.5e308, and their sum overflows
+        def sampler(rng, size):
+            x = np.full(size, 1.5e308)
+            x[1::2] *= -1.0
+            return x
+
+        fam = TailFamily(name="alternating", _sampler=sampler)
+        with pytest.raises(AccuracyError, match="a median overflowed"):
+            tr.scaling_exponent_experiment(fam, [1, 3], 2, seed=1)
+
+    @pytest.mark.parametrize("family,ns,replications", [
+        (tr.make_symmetric_stable(0.6, 1.0), [10**3, 10**4], 20),
+        (tr.make_symmetric_stable(1.5, 1.0), [100, 1000, 10**4], 7),
+        (tr.make_pareto(1.5, 1.0), [100, 1000, 5000], 6),
+        (tr.make_half_normal(1.0), [10, 100, 1000, 10**4], 9),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_experiment_slope_is_the_exact_fit(self, family, ns, replications):
+        res = tr.scaling_exponent_experiment(family, ns, replications, seed=2)
+        x, y = np.log(ns), np.log(res.per_n_medians)
+        assert res.slope == exact_slope(x.tolist(), y.tolist())
+        assert res.slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-9)
 
 
 class TestTheorySlope:
