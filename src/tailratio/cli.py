@@ -101,34 +101,27 @@ def _ksigma(opts):
 
 def _prob_limit(opts):
     value = probability.limit_probability(opts.kappa, opts.alpha)
-    result = probability.ProbabilityResult(value, "limit", error_estimate=0.0, kappa=opts.kappa)
     # the limit has no family: its record names none and gives the tail index
-    no_family = SimpleNamespace(name=None, params={"alpha": opts.alpha})
-    return records.probability_record(result, no_family)
+    return records.flat(probability.ProbabilityResult(
+        "limit", None, {"alpha": opts.alpha}, None, opts.kappa, value, 0.0))
 
 
 def _prob_exact(opts):
-    result = probability.exact_probability(opts.dist, opts.n, opts.kappa)
-    return records.probability_record(result, opts.dist)
+    return records.flat(probability.exact_probability(opts.dist, opts.n, opts.kappa))
 
 
 def _prob_mc(opts):
-    result = probability.mc_probability(opts.dist, opts.n, opts.kappa, opts.trials, opts.seed,
-                                        opts.confidence)
-    return records.probability_record(result, opts.dist)
+    return records.flat(probability.mc_probability(
+        opts.dist, opts.n, opts.kappa, opts.trials, opts.seed, opts.confidence))
 
 
 def _prob_oracle(opts):
-    result = probability.joint_oracle_probability(opts.dist, opts.n, opts.kappa)
-    return records.probability_record(result, opts.dist)
+    return records.flat(probability.joint_oracle_probability(opts.dist, opts.n, opts.kappa))
 
 
 def _check_conditions(opts):
-    report = probability.check_theorem_conditions(
-        opts.dist, opts.kappa, opts.n, (opts.probe_lo, opts.probe_hi), opts.grid_points
-    )
-    return {"family": opts.dist.name, "params": records._params_string(opts.dist),
-            "n": opts.n, "kappa": opts.kappa, **records.flat(report)}
+    return records.flat(probability.check_theorem_conditions(
+        opts.dist, opts.kappa, opts.n, (opts.probe_lo, opts.probe_hi), opts.grid_points))
 
 
 def _estimate_alpha(opts):

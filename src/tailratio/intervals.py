@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 from .errors import check_int, check_real
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
@@ -116,5 +114,5 @@ def wilson_interval(p_hat, trials, confidence=0.95):
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * np.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)

@@ -145,14 +145,16 @@ def ksigma_outliers(data, k):
     """Indices j with |X_j - mean| > k * s, s the population (1/n) std.
 
     Returns the empty set for constant data, where s = 0 and no deviation
-    can exceed the threshold.  Data large enough for the sum of squared
-    deviations to overflow is first scaled by a power of two, which is
-    exact and leaves the rule unchanged.
+    can exceed the threshold.  Data large or small enough for the sum of
+    squared deviations to overflow or underflow is first scaled by a power
+    of two, which is exact and leaves the rule unchanged.
     """
     k = check_real(k, "k", 0, np.inf, "(]")
     x = _finite_values(data, 2, "for the k-sigma rule")
     e = int(np.frexp(max(x.max(), -x.min()))[1])  # max|x| < 2**e
-    if 2 * e + x.size.bit_length() > 1023:  # n * 2**(2e) bounds the sum of squares
+    # n * 2**(2e) bounds the sum of squares; below 2**-458, the square of a
+    # deviation of 2**-53 * max|x| is no longer a normal float
+    if 2 * e + x.size.bit_length() > 1023 or e < -458:
         x = np.ldexp(x, -e)
     m = x.mean()
     s = np.sqrt(_sum_of_squares(x, m) / x.size)  # x.std(), population convention

@@ -32,7 +32,7 @@ numeric probes, not proofs.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -68,23 +68,34 @@ _GRID_MAX = 10**7
 
 @dataclass(frozen=True)
 class ProbabilityResult:
-    """A probability value with its provenance and error estimate."""
+    """A probability value with its provenance and error estimate, in record order.
 
-    value: float
+    `family` and `params` name the law the route was given, `params` in the
+    data's unit; the limit names no family and gives the tail index.
+    """
+
     method: str  # "limit" | "quadrature" | "monte_carlo" | "joint_oracle"
-    error_estimate: float
+    family: str | None
+    params: dict
+    n: int | None
     kappa: float
-    n: int | None = None
+    value: float
+    error_estimate: float
     ci: tuple | None = None
     trials: int | None = None
     seed: int | None = None
-    neval: int | None = None  # quadrature: integrand evaluations
+    # quadrature: integrand evaluations; not part of the record
+    neval: int | None = field(default=None, metadata={"record": False})
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Numeric evidence for the convergence theorem's side conditions."""
+    """Numeric evidence for the convergence theorem's side conditions, in record order."""
 
+    family: str
+    params: dict
+    n: int
+    kappa: float
     boundary_ratio_limit: float
     zero_limit_ok: bool
     integrand_integral: float
@@ -169,8 +180,8 @@ def exact_probability(family, n, kappa):
 
     with np.errstate(over="ignore"):  # a quantile beyond the floats is inf, where p is 0
         value, err = _tanh_sinh(lambda w, c: list(map(ratio, w, c)))
-    return ProbabilityResult(value=min(max(value, 0.0), 1.0), method="quadrature",
-                             error_estimate=err, kappa=kappa, n=n, neval=ratio.cache_info().misses)
+    return ProbabilityResult("quadrature", family.name, family.params, n, kappa,
+                             min(max(value, 0.0), 1.0), err, neval=ratio.cache_info().misses)
 
 
 def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
@@ -201,18 +212,9 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
             np.abs(mags, out=mags)
             hits += _count_events(mags, kappa)
     p_hat = hits / trials
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-    ci = wilson_interval(p_hat, trials, confidence)
-    return ProbabilityResult(
-        value=p_hat,
-        method="monte_carlo",
-        error_estimate=se,
-        kappa=kappa,
-        n=n,
-        ci=ci,
-        trials=trials,
-        seed=seed,
-    )
+    se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return ProbabilityResult("monte_carlo", family.name, family.params, n, kappa, p_hat, se,
+                             wilson_interval(p_hat, trials, confidence), trials, seed)
 
 
 def joint_oracle_probability(family, n, kappa):
@@ -260,8 +262,8 @@ def joint_oracle_probability(family, n, kappa):
 
     value, err = _tanh_sinh(outer)
     # neval: a node takes the outer density and 5 inner points
-    return ProbabilityResult(value=min(max(value, 0.0), 1.0), method="joint_oracle",
-                             error_estimate=err, kappa=kappa, n=n, neval=6 * nodes)
+    return ProbabilityResult("joint_oracle", family.name, family.params, n, kappa,
+                             min(max(value, 0.0), 1.0), err, neval=6 * nodes)
 
 
 def boundary_ratio(family, kappa, x):
@@ -358,4 +360,5 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
         f"integral of |g| over [{_times(g_lo, unit)}, {_times(hi, unit)}] = "
         f"{integrand_integral:.3e}; boundary ratio at x = {_times(hi, unit)}: {ratio:.6e}"
     )
-    return ConditionReport(float(ratio), zero_limit_ok, integrand_integral, notes)
+    return ConditionReport(family.name, family.params, n, kappa, float(ratio), zero_limit_ok,
+                           integrand_integral, notes)

@@ -1,9 +1,11 @@
 """Flat output records and plain-text data ingestion.
 
-Every analysis result serializes to a flat record with a fixed key order,
-emitted as a single JSON object or a one-row CSV table.  CSV uses '.' as
-the decimal separator, no grouping, and 17 significant digits so 64-bit
-floats round-trip losslessly.
+A record is its result: :func:`flat` writes a result dataclass's fields in
+their declared order, so the fixed key order of every record is the order
+of its result's fields, and a field is kept out of the record by declaring
+it so.  A record is emitted as a single JSON object or a one-row CSV table.
+CSV uses '.' as the decimal separator, no grouping, and 17 significant
+digits so 64-bit floats round-trip losslessly.
 """
 
 import contextlib
@@ -27,43 +29,27 @@ def _fmt(value):
     return str(value)
 
 
-def _params_string(family):
-    return ";".join(f"{k}={_fmt(float(v))}" for k, v in family.params.items())
-
-
 def flat(result):
-    """A result's fields in order, a nested result's in its place, ``ci`` as ci_lo, ci_hi."""
+    """The record of a result: its fields in order, a nested result's in its place.
+
+    ``ci`` becomes ci_lo, ci_hi (two nulls for None), a ``params`` dict one
+    ``key=value;...`` string, and a field declared with
+    ``metadata={"record": False}`` is left out.
+    """
     record = {}
     for f in dataclasses.fields(result):
+        if not f.metadata.get("record", True):
+            continue
         value = getattr(result, f.name)
         if dataclasses.is_dataclass(value):
             record.update(flat(value))
         elif f.name == "ci":
-            record["ci_lo"], record["ci_hi"] = value
+            record["ci_lo"], record["ci_hi"] = value or (None, None)
+        elif f.name == "params":
+            record["params"] = ";".join(f"{k}={_fmt(float(v))}" for k, v in value.items())
         else:
             record[f.name] = value
     return record
-
-
-def probability_record(result, family):
-    """Record for any ProbabilityResult, keyed by method.
-
-    `family` is the one behind the value: its name and params are written.
-    """
-    ci = result.ci or (None, None)
-    return {
-        "method": result.method,
-        "family": family.name,
-        "params": _params_string(family),
-        "n": result.n,
-        "kappa": result.kappa,
-        "value": result.value,
-        "error_estimate": result.error_estimate,
-        "ci_lo": ci[0],
-        "ci_hi": ci[1],
-        "trials": result.trials,
-        "seed": result.seed,
-    }
 
 
 def to_json(record):
@@ -96,6 +82,8 @@ def read_values(path=None):
     peak RSS is the parsed values plus numpy's read buffer, from any source.
     """
     if path is None or path == "-":
+        if sys.stdin is None:  # the process was started with its stdin closed
+            raise OSError("standard input is closed: give the values with --input")
         stdin = getattr(sys.stdin, "buffer", None)
         if stdin is None:
             stdin = io.BytesIO(sys.stdin.read().encode("utf-8"))

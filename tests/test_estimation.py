@@ -30,6 +30,14 @@ class TestWilsonInterval:
         lo, hi = wilson_interval(1.0, 5)
         assert 0.0 < lo < 1.0 and hi == 1.0
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_ends_are_plain_floats(self, p):
+        assert [type(end) for end in wilson_interval(p, 10)] == [float, float]
+
+    def test_monte_carlo_error_and_interval_are_plain_floats(self):
+        res = tr.mc_probability(tr.make_pareto(1.5), 5, 0.5, 20, seed=1)
+        assert [type(v) for v in (res.value, res.error_estimate, *res.ci)] == [float] * 4
+
     def test_narrows_with_n(self):
         w1 = np.diff(wilson_interval(0.5, 10))[0]
         w2 = np.diff(wilson_interval(0.5, 1000))[0]

@@ -138,6 +138,15 @@ class TestKSigma:
         # unscaled, a sum behind the mean or s overflows, and every index is hidden
         assert tr.ksigma_outliers(data, 1.0) == flagged
 
+    def test_scale_invariance(self):
+        # a power-of-two scale is exact; unscaled, the squared deviations of
+        # small data underflow, s reads 0 and every index is hidden
+        x = (1.0 - np.random.default_rng(3).random(2000)) ** (-1.0 / 1.5)
+        flagged = tr.ksigma_outliers(x, 3.0)
+        assert flagged
+        for j in range(-1000, 1001):
+            assert tr.ksigma_outliers(np.ldexp(x, j), 3.0) == flagged, j
+
     def test_holds_one_deviation_array(self):
         # numpy's buffers are traced: beside x, one array of |x - mean| at a time
         x = np.random.default_rng(5).standard_normal(200_000)

@@ -1,4 +1,4 @@
-"""Data ingestion: read_values on files and on standard input."""
+"""The record rule, flat, and data ingestion: read_values on files and on standard input."""
 
 import contextlib
 import gc
@@ -9,12 +9,55 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
 
+import tailratio as tr
 from tailratio.cli import main
-from tailratio.records import read_values
+from tailratio.records import flat, read_values
+
+
+def test_flat_writes_params_a_missing_ci_and_leaves_out_what_is_not_recorded():
+    @dataclass(frozen=True)
+    class Result:
+        params: dict
+        ci: tuple | None
+        count: int = field(default=0, metadata={"record": False})
+
+    assert flat(Result({"alpha": 1.5, "xm": 3}, None, 7)) == {
+        "params": "alpha=1.5;xm=3", "ci_lo": None, "ci_hi": None}
+
+
+@pytest.mark.parametrize("family,params", [
+    (tr.make_pareto(1.5, 3.0), "alpha=1.5;xm=3"),
+    (tr.make_exponential(1e300), "rate=1.0000000000000001e+300"),
+], ids=["xm=3", "rate=1e300"])
+@pytest.mark.parametrize("route", [
+    lambda fam: tr.exact_probability(fam, 10, 0.5),
+    lambda fam: tr.mc_probability(fam, 10, 0.5, 50, seed=1),
+    lambda fam: tr.joint_oracle_probability(fam, 4, 0.5),
+    lambda fam: tr.check_theorem_conditions(fam, 0.5, 10),
+], ids=["quadrature", "monte_carlo", "joint_oracle", "conditions"])
+def test_result_names_the_family_it_was_given(route, family, params):
+    # each route works on the standard law, and names the law in the data's unit
+    result = route(family)
+    assert (result.family, result.params) == (family.name, family.params)
+    assert flat(result)["params"] == params
+
+
+@pytest.mark.parametrize("result,keys", [
+    (tr.ProbabilityResult, "method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,"
+                           "trials,seed"),
+    (tr.ConditionReport, "family,params,n,kappa,boundary_ratio_limit,zero_limit_ok,"
+                         "integrand_integral,notes"),
+], ids=["probability", "conditions"])
+def test_record_keys_are_the_result_fields(result, keys):
+    names = [f.name for f in fields(result) if f.metadata.get("record", True)]
+    if "ci" in names:
+        names[names.index("ci"):names.index("ci") + 1] = ["ci_lo", "ci_hi"]
+    assert names == keys.split(",")
 
 
 @pytest.fixture(params=["stdin", "file"])
@@ -128,6 +171,12 @@ def test_no_values_exits_4_with_only_the_error(text, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_closed_stdin_exits_2_naming_it(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # as Python sets it when started with fd 0 closed
+    assert main(["detect"]) == 2
+    assert "standard input" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2_naming_it(tmp_path, capsys):
