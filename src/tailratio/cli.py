@@ -37,11 +37,9 @@ from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from . import lln, probability, records
+from . import probability, records
 from .errors import ParameterDomainError, TailRatioError, check_int, check_real
-from .estimation import estimate_alpha_from_data
 from .families import parse_family_spec
-from .outliers import is_outlier, ksigma_outliers
 
 _REQUIRED = object()
 
@@ -90,11 +88,17 @@ _FORMAT = _Option("format", str, "json", "output format", ("json", "csv"))
 _OUTPUT = _Option("output", str, None, "output file (default: stdout)")
 
 
+# outliers, estimation and lln load numpy, so the handlers that use them import them
+# when they run: the quadrature commands load no numpy
 def _detect(opts):
+    from .outliers import is_outlier
+
     return records.flat(is_outlier(records.read_values(opts.input), opts.kappa))
 
 
 def _ksigma(opts):
+    from .outliers import ksigma_outliers
+
     idx = ksigma_outliers(records.read_values(opts.input), opts.k)
     return {"k": opts.k, "count": len(idx), "indices": ";".join(str(i) for i in sorted(idx))}
 
@@ -125,12 +129,16 @@ def _check_conditions(opts):
 
 
 def _estimate_alpha(opts):
+    from .estimation import estimate_alpha_from_data
+
     return records.flat(estimate_alpha_from_data(
         records.read_values(opts.input), opts.block_size, opts.kappa, opts.confidence
     ))
 
 
 def _lln_demo(opts):
+    from . import lln
+
     if opts.mode == "trajectory":
         reps = 1 if opts.replications is None else opts.replications
         series = lln.trajectories(opts.dist, opts.ns, reps, opts.seed, opts.threads)

@@ -1,12 +1,12 @@
 """Exception hierarchy shared by all tailratio modules, and the argument checks.
 
 Every entry point and every numeric CLI option coerces and range-checks its
-numbers through `check_int` and `check_real`, which raise ParameterDomainError.
+numbers through `check_int`, `check_real` and `check_kappa`, which raise
+ParameterDomainError.
 """
 
 import math
-
-import numpy as np
+import sys
 
 
 class TailRatioError(Exception):
@@ -26,8 +26,10 @@ def check_int(value, name, lo, hi=None):
     or a non-number is refused rather than truncated by int().
     """
     if type(value) is not int:  # a plain int, the common case, skips the type tests
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            if not (isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        numpy = sys.modules.get("numpy")  # a numpy value implies a loaded numpy
+        ints, reals = ((int, numpy.integer), (float, numpy.floating)) if numpy else (int, float)
+        if isinstance(value, bool) or not isinstance(value, ints):
+            if not (isinstance(value, reals) and float(value).is_integer()):
                 raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < lo or (hi is not None and value > hi):
@@ -53,6 +55,11 @@ def check_real(value, name, lo, hi, ends="()"):
             f"{name} must be a real number in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}"
         )
     return number
+
+
+def check_kappa(kappa):
+    """Validate and return kappa in (0, 1)."""
+    return check_real(kappa, "kappa", 0, 1)
 
 
 class CapabilityError(TailRatioError):

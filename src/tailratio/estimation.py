@@ -15,9 +15,9 @@ monotone map; the map is decreasing in p_hat, so the endpoints swap.
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFrequencyError, check_int, check_real
+from .errors import DegenerateFrequencyError, check_int, check_kappa, check_real
 from .intervals import wilson_interval
-from .outliers import block_event_frequency, check_kappa
+from .outliers import block_event_frequency
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,15 @@ samples ``|X|``, by inverse transform, ``quantile`` of uniforms, except
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
-A closed form takes one float and returns one float (an inverse-transform
-quantile also takes the sampler's array).  Each family with a quantile
-also writes out its upper-tail form, the x with 1 - F(x) = v, rather
-than taking the quantile at 1 - v: quadrature asks for v as small as
-1e-290, which 1 - v would round away.  A power or quotient that can
-overflow or meet zero is taken on ``np.float64``, which gives inf or NaN
-where Python's ``**`` and ``/`` raise.  Where numpy's ``np.power`` and
-libm's pow (Python's ``**``, also on ``np.float64``) differ in the last
-bit, each form keeps the one that its pinned outputs were computed with.
+A closed form (density, CDF, upper quantile) takes one float and returns
+one float, computed with ``math``, so that quadrature loads no numpy and
+prints the same digits on every CPU; where ``math`` raises on an overflow
+or a zero, the form returns the inf that numpy's form gives.  The sampler
+and inverse-transform quantile forms take and return numpy arrays, and
+numpy is imported on their first use.  Each family with a quantile also
+writes out its upper-tail form, the x with 1 - F(x) = v, rather than
+taking the quantile at 1 - v: quadrature asks for v as small as 1e-290,
+which 1 - v would round away.
 
 Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
@@ -24,13 +24,37 @@ function of ``(family, count, seed)``.
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import CapabilityError, ParameterDomainError, check_int, check_real
 from .intervals import _ndtri
 from .rng import substream
+
+
+class _Numpy:
+    """numpy, imported on the first use of a sampler or an array quantile.
+
+    That first attribute access binds the module's ``np`` to numpy itself,
+    so a later draw finds it as if it were imported at the top.
+    """
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _Numpy()
+
+
+def _inf_on_overflow(form, *args):
+    """form(*args), a function of math, or inf where it overflows, as numpy's form returns."""
+    try:
+        return form(*args)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -114,21 +138,21 @@ def make_pareto(alpha, xm=1.0):
     kappa**alpha identically, so every finite-n outlier probability already
     sits at its limiting value.
     """
-    alpha = check_real(alpha, "alpha", 0, np.inf)
-    xm = check_real(xm, "xm", 0, np.inf)
+    alpha = check_real(alpha, "alpha", 0, math.inf)
+    xm = check_real(xm, "xm", 0, math.inf)
 
     def pdf(x):
-        return alpha * np.power(x, -alpha - 1.0) if x >= 1.0 else 0.0
+        return alpha * math.pow(x, -alpha - 1.0) if x >= 1.0 else 0.0
 
     def cdf(x):
-        return -np.expm1(-alpha * np.log(x)) if x >= 1.0 else 0.0
+        return -math.expm1(-alpha * math.log(x)) if x >= 1.0 else 0.0
 
     def quantile(u):
         # np.subtract makes 1 - u an np.float64 for a float u
         return np.subtract(1.0, u) ** (-1.0 / alpha)
 
-    def upper_quantile(v):
-        return np.float64(v) ** (-1.0 / alpha)
+    def upper_quantile(v):  # 0 ** -y is inf
+        return _inf_on_overflow(math.pow, v, -1.0 / alpha) if v else math.inf
 
     return TailFamily(
         name="pareto",
@@ -146,20 +170,20 @@ def make_pareto(alpha, xm=1.0):
 
 def make_half_cauchy(scale=1.0):
     """Half-Cauchy family: F(x) = (2/pi) * arctan(x/scale), tail index 1."""
-    s = check_real(scale, "scale", 0, np.inf)
+    s = check_real(scale, "scale", 0, math.inf)
 
     def pdf(x):
-        return (2.0 / np.pi) / (1.0 + x * x)
+        return (2.0 / math.pi) / (1.0 + x * x)
 
     def cdf(x):
-        return (2.0 / np.pi) * np.arctan(x)
+        return (2.0 / math.pi) * math.atan(x)
 
     def quantile(u):
         # three array passes, not four: halving is exact, so (pi*u)/2 == (pi/2)*u
         return np.tan(u * (np.pi / 2.0))
 
-    def upper_quantile(v):
-        return 1.0 / np.tan(v * (np.pi / 2.0))
+    def upper_quantile(v):  # 1 / tan(0) is inf
+        return 1.0 / t if (t := math.tan(v * (math.pi / 2.0))) else math.inf
 
     return TailFamily(
         name="half_cauchy",
@@ -175,19 +199,19 @@ def make_half_cauchy(scale=1.0):
 
 def make_exponential(rate=1.0):
     """Exponential family, a light-tailed control with no tail index."""
-    r = check_real(rate, "rate", 1 / np.finfo(float).max, np.inf)  # so 1/rate is a float
+    r = check_real(rate, "rate", 1 / sys.float_info.max, math.inf)  # so 1/rate is a float
 
     def pdf(x):
-        return np.exp(-x)
+        return _inf_on_overflow(math.exp, -x)
 
     def cdf(x):
-        return -np.expm1(-x)
+        return -_inf_on_overflow(math.expm1, -x)
 
     def quantile(u):
         return -np.log1p(-u)
 
-    def upper_quantile(v):
-        return -np.log(v)
+    def upper_quantile(v):  # -log(0) is inf
+        return -math.log(v) if v else math.inf
 
     return TailFamily(
         name="exponential",
@@ -203,10 +227,10 @@ def make_exponential(rate=1.0):
 
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
-    s = check_real(sigma, "sigma", 0, np.inf)
+    s = check_real(sigma, "sigma", 0, math.inf)
 
     def pdf(x):
-        return math.sqrt(2.0 / math.pi) * np.exp(-0.5 * (x * x))
+        return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (x * x))
 
     def cdf(x):
         return math.erf(x / math.sqrt(2.0))
@@ -225,7 +249,7 @@ def make_half_normal(sigma=1.0):
         name="half_normal",
         params={"sigma": s},
         scale=s,
-        mean=float(np.sqrt(2.0 / np.pi)),
+        mean=math.sqrt(2.0 / math.pi),
         _pdf=pdf,
         _cdf=cdf,
         _quantile=quantile,
@@ -264,7 +288,7 @@ def make_symmetric_stable(alpha, scale=1.0):
     family stays safe to share across threads.
     """
     a = check_real(alpha, "alpha", 0, 2, "(]")
-    s = check_real(scale, "scale", 0, np.inf)
+    s = check_real(scale, "scale", 0, math.inf)
 
     def sampler(rng, size):
         u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AccuracyError, InsufficientDataError, ParameterDomainError, check_int, check_real,
+    AccuracyError, InsufficientDataError, ParameterDomainError,
+    check_int, check_kappa, check_real,
 )
 
 _FLOAT_MAX = np.finfo(float).max
@@ -50,11 +51,6 @@ class OutlierVerdict:
     kappa: float
     ratio: float
     top_two: TopTwo
-
-
-def check_kappa(kappa):
-    """Validate and return kappa in (0, 1)."""
-    return check_real(kappa, "kappa", 0, 1)
 
 
 def _finite_values(data, need, purpose):

@@ -28,20 +28,24 @@ integrability of the integration-by-parts integrand g = r', as the sum of
 |r(x[i+1]) - r(x[i])| over the grid points where r is finite (the
 integral of |g| exactly when r is monotone on the grid).  These are
 numeric probes, not proofs.
+
+Every route but ``mc_probability`` computes with ``math`` alone and loads
+no numpy, and adds its terms in the order of numpy's pairwise sum
+(``_pairwise_sum``), so it prints the same digits on every CPU: those that
+numpy gave where its vector loops agree with libm.
 """
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cache
 
-import numpy as np
-
 from .errors import (
-    AccuracyError, ParameterDomainError, SingularityError, check_int, check_real,
+    AccuracyError, ParameterDomainError, SingularityError,
+    check_int, check_kappa, check_real,
 )
 from .intervals import wilson_interval
-from .outliers import _block_rows, _count_events, check_kappa
 from .rng import check_seed, substream
 
 # the tanh-sinh nodes t = j*h span [-_T, _T], where w and 1 - w fall to 1e-275
@@ -62,7 +66,8 @@ _GAUSS = tuple(((1.0 + x) / 2.0, g / 2.0) for x, g in (
 # int64's maximum n, the bound on trials too: float() and numpy's dimensions take it
 _N_MAX = 2**63 - 1
 
-# check_theorem_conditions' largest grid: 80 MB an array, its density taken point by point
+# check_theorem_conditions' largest grid: its points are made one at a time, and the
+# differences of the ratio at consecutive points held in an array of at most 80 MB
 _GRID_MAX = 10**7
 
 
@@ -105,7 +110,36 @@ class ConditionReport:
 def limit_probability(kappa, alpha):
     """Large-n limit of the outlier-event probability: kappa**alpha."""
     kappa = check_real(kappa, "kappa", 0, 1, "(]")
-    return kappa ** check_real(alpha, "alpha", 0, np.inf, "(]")
+    return kappa ** check_real(alpha, "alpha", 0, math.inf, "(]")
+
+
+def _pairwise_sum(a, start=0, count=None):
+    """The sum of a[start:start + count] in the order np.sum adds a float64 array.
+
+    numpy splits more than 128 terms into two halves at count // 2 rounded
+    down to a multiple of 8, adds at most 128 in 8 interleaved partial sums,
+    and fewer than 8 one by one.  test_pairwise_sum_is_numpy_sum_bit_for_bit
+    checks that order, which numpy does not promise.
+    """
+    count = len(a) - start if count is None else count
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(a, start, half) + _pairwise_sum(a, start + half, count - half)
+    end = start + count
+    if count < 8:
+        total = 0.0
+        for i in range(start, end):
+            total += a[i]
+        return total
+    r = a[start:start + 8]
+    tail = end - count % 8
+    for i in range(start + 8, tail, 8):
+        for j in range(8):
+            r[j] += a[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(tail, end):
+        total += a[i]
+    return total
 
 
 def _tanh_sinh(f):
@@ -128,13 +162,15 @@ def _tanh_sinh(f):
     previous = None
     for level in range(_LAST_LEVEL + 1):
         h = 0.5 ** (level + 1)
-        t = h * np.arange(-_T / h, _T / h + 1.0)
-        e = np.exp(-np.pi * np.sinh(t))
-        w, c = 1.0 / (1.0 + e), e / (1.0 + e)
-        terms = h * np.pi * np.cosh(t) * w * c * np.array(f(w.tolist(), c.tolist()))
-        value = float(terms.sum())
+        t = [h * j for j in range(-round(_T / h), round(_T / h) + 1)]
+        e = [math.exp(-math.pi * math.sinh(tj)) for tj in t]
+        w, c = [1.0 / (1.0 + ej) for ej in e], [ej / (1.0 + ej) for ej in e]
+        weight = h * math.pi
+        terms = [weight * math.cosh(tj) * wj * cj * fj
+                 for tj, wj, cj, fj in zip(t, w, c, f(w, c))]
+        value = _pairwise_sum(terms)
         if previous is not None:
-            diff, edge = abs(value - previous), float(abs(terms[0]) + abs(terms[-1])) / h
+            diff, edge = abs(value - previous), (abs(terms[0]) + abs(terms[-1])) / h
             err = max(diff + edge, 4.0 * sys.float_info.epsilon * abs(value))
             tol = _RTOL * abs(value)
             if err <= tol and level >= _FIRST_LEVEL:
@@ -178,8 +214,8 @@ def exact_probability(family, n, kappa):
         den = kappa * float(family.pdf(x))
         return float(family.pdf(x / kappa)) / den if den else 0.0
 
-    with np.errstate(over="ignore"):  # a quantile beyond the floats is inf, where p is 0
-        value, err = _tanh_sinh(lambda w, c: list(map(ratio, w, c)))
+    # a quantile beyond the floats is inf, where p is 0
+    value, err = _tanh_sinh(lambda w, c: list(map(ratio, w, c)))
     return ProbabilityResult("quadrature", family.name, family.params, n, kappa,
                              min(max(value, 0.0), 1.0), err, neval=ratio.cache_info().misses)
 
@@ -193,6 +229,10 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     block of trials at a time; an overflow that leaves one undecided raises
     :class:`AccuracyError`.
     """
+    import numpy as np
+
+    from .outliers import _block_rows, _count_events
+
     n = check_int(n, "n", 2, _N_MAX)
     kappa = check_kappa(kappa)
     trials = check_int(trials, "trials", 1, _N_MAX)
@@ -273,7 +313,7 @@ def boundary_ratio(family, kappa, x):
     kappa**alpha as x grows; for light tails it tends to 0.
     """
     kappa = check_kappa(kappa)
-    x = check_real(x, "x", -np.inf, np.inf)
+    x = check_real(x, "x", -math.inf, math.inf)
     den = kappa * float(family.pdf(kappa * x))
     if den == 0.0:
         raise SingularityError(
@@ -328,10 +368,10 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     edge = family.support_lo
     lo, hi = (None, None) if probe_range is None else probe_range
     lo = edge + 0.01 if lo is None else check_real(
-        lo, "probe_range[0]", data_edge, np.inf, "[)") / unit
+        lo, "probe_range[0]", data_edge, math.inf, "[)") / unit
     hi = edge + 50.0 if hi is None else check_real(
-        hi, "probe_range[1]", data_edge, np.inf) / unit
-    if not lo < hi < np.inf:  # a default end may cross a given one
+        hi, "probe_range[1]", data_edge, math.inf) / unit
+    if not lo < hi < math.inf:  # a default end may cross a given one
         raise ParameterDomainError(f"probe_range must have lo < hi, each a float divided by "
                                    f"the scale {unit!r}, got ({lo * unit:g}, {hi * unit:g})")
     grid_points = check_int(grid_points, "grid_points", 2, _GRID_MAX)
@@ -343,16 +383,22 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
         x = edge + (start - edge) * 2.0 ** -k
         f = float(family.cdf(kappa * x))
         den = float(family.pdf(kappa * x)) if f > 0.0 else 0.0
-        decay.append(f**n * float(family.pdf(x)) / den if den else np.inf if f > 0.0 else 0.0)
+        decay.append(f**n * float(family.pdf(x)) / den if den else math.inf if f > 0.0 else 0.0)
     zero_limit_ok = decay[-1] < 1e-8 or decay[-1] < decay[0] / 100.0
 
     # (b) total variation of r on the common support {x >= edge, kappa*x >= edge}
     g_lo = max(lo, edge / kappa if edge > 0.0 else lo)
-    xs = np.linspace(g_lo, hi, grid_points)
-    p_x, p_kx = (np.array([family.pdf(x) for x in grid]) for grid in (xs, kappa * xs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = p_x / (kappa * p_kx)
-    integrand_integral = float(np.abs(np.diff(r[np.isfinite(r)])).sum())
+    step, last = (hi - g_lo) / (grid_points - 1), None
+    variation = array("d")  # |r(x') - r(x)| over consecutive points x, x' where r is finite
+    for i in range(grid_points):  # the points of np.linspace(g_lo, hi, grid_points)
+        x = i * step + g_lo if i < grid_points - 1 else hi
+        den = kappa * float(family.pdf(kappa * x))
+        r = float(family.pdf(x)) / den if den else math.inf
+        if math.isfinite(r):
+            if last is not None:
+                variation.append(abs(r - last))
+            last = r
+    integrand_integral = _pairwise_sum(variation)
 
     ratio = boundary_ratio(family, kappa, hi)
     notes = (  # x in the data's unit

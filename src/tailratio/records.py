@@ -16,8 +16,6 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 
 def _fmt(value):
     if value is None:
@@ -107,6 +105,8 @@ def _parse(source):
             shutil.copyfileobj(source, spool)
             spool.seek(0)
             return _parse(spool)
+    import numpy as np
+
     start = source.tell()
 
     @contextlib.contextmanager

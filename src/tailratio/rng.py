@@ -18,12 +18,11 @@ numpy's own mixing of the seed, then continues SeedSequence's hashmix/mix
 over the index's 32-bit words and finishes with its output hash.  A hash
 constant depends only on how many words were hashed before it.  The two
 latest blocks are cached, and a substream costs 1.8 us, most of it
-PCG64's own construction.
+PCG64's own construction.  numpy is imported by the helpers that hash a
+block or build the generator, so importing this module loads no numpy.
 """
 
 from functools import cache, lru_cache
-
-import numpy as np
 
 from .errors import check_int
 
@@ -44,6 +43,8 @@ def check_seed(seed):
 
 def _hash_constants(first, mult, skip, count):
     """Hash constants first * mult**k mod 2**32 for k = skip.., as a column."""
+    import numpy as np
+
     h = [first * pow(mult, k, 2**32) & _MASK for k in range(skip, skip + count)]
     return np.array(h, dtype=np.uint64)[:, None]
 
@@ -54,6 +55,8 @@ def _block_state(seed, block):
 
     One read-only uint64 row of 4 for each i in block*1024 .. block*1024 + 1023.
     """
+    import numpy as np
+
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     index = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
     words = [index & _MASK] + ([index >> 32] if block * _BLOCK >> 32 else [])
@@ -80,6 +83,7 @@ def _generator():
     adds 16 ms and 5.8 MB of peak RSS to `import tailratio.cli`, which every
     command pays, also the ones that draw nothing.
     """
+    import numpy as np
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -104,6 +108,8 @@ def substream(seed, index=None):
     """
     seed = check_seed(seed)
     if index is None:
+        import numpy as np
+
         return np.random.default_rng(np.random.SeedSequence(seed))
     block, row = divmod(check_int(index, "index", 0, 2**64 - 1), _BLOCK)
     return _generator()(_block_state(seed, block)[row])

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -128,6 +129,37 @@ def test_forms_overflow_like_numpy(form, x, want):
     # a Python float ** or / here would raise OverflowError or ZeroDivisionError
     with np.errstate(all="ignore"):
         assert form(x) == want
+
+
+# at inf, at 0 and where math raises OverflowError, a closed form returns numpy's value
+@pytest.mark.parametrize("form, x, want", [
+    (partial(tr.make_pareto(0.01).quantile, upper=True), 1e-300, math.inf),
+    (partial(tr.make_pareto(1.5).quantile, upper=True), 0.0, math.inf),
+    (partial(tr.make_half_cauchy(1.0).quantile, upper=True), 0.0, math.inf),
+    (partial(tr.make_exponential(1.0).quantile, upper=True), 0.0, math.inf),
+    (tr.make_exponential(1.0).pdf, -1000.0, math.inf),
+    (tr.make_exponential(1.0).cdf, -1000.0, -math.inf),
+    (tr.make_pareto(1.5).pdf, math.inf, 0.0),
+    (tr.make_pareto(1.5).cdf, math.inf, 1.0),
+    (tr.make_half_cauchy(1.0).pdf, 1e200, 0.0),
+], ids=["pareto-quantile-overflow", "pareto-quantile-0", "half_cauchy-quantile-0",
+        "exponential-quantile-0", "exponential-pdf", "exponential-cdf", "pareto-pdf-inf",
+        "pareto-cdf-inf", "half_cauchy-pdf"])
+def test_closed_forms_return_numpys_value_where_math_raises(form, x, want):
+    got = form(x)
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("fam", [
+    tr.make_pareto(1.5), tr.make_half_cauchy(1.0), tr.make_exponential(1.0),
+    tr.make_half_normal(1.0),
+], ids=lambda fam: fam.name)
+def test_closed_forms_are_plain_floats(fam):
+    # math, not numpy: the digits are libm's on every CPU
+    for x in (0.5, 2.0, 40.0):
+        assert type(fam.pdf(x)) is float and type(fam.cdf(x)) is float
+    for v in (1e-300, 0.25, 1.0):
+        assert type(fam.quantile(v, upper=True)) is float
 
 
 class TestHalfNormal:

@@ -3,9 +3,12 @@
 No command loads any scipy module: numpy is the only runtime dependency.
 Quadrature, the normal quantile and the half-normal family's erf are the
 library's own or the standard library's; scipy is only the tests' reference.
-A command that draws no random numbers loads no numpy.random module either;
-one that draws does, which shows that the check can see it.  No command loads
-numpy.ma, which np.median imports to look for masked arrays.
+The quadrature commands (prob-limit, prob-exact, prob-oracle and
+check-conditions) and `import tailratio` load no numpy at all; a command
+that reads data does, which shows that the check can see it.  A command that
+draws no random numbers loads no numpy.random module either; one that draws
+does.  No command loads numpy.ma, which np.median imports to look for masked
+arrays.
 
 Each case runs in a fresh interpreter, because sys.modules keeps whatever an
 earlier import in the test process loaded; every check reads that one run.
@@ -66,6 +69,9 @@ print(json.dumps(sorted(sys.modules)))
 
 # the cases that draw random numbers
 DRAWS = {c for c in CASES if c.startswith(("lln-demo", "prob-mc"))}
+# the cases that load no numpy: the quadrature commands, and importing the CLI
+NO_NUMPY = {c for c in CASES if c == "import" or c.startswith(
+    ("prob-limit", "prob-exact", "prob-oracle", "check-conditions"))}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +114,69 @@ def test_numpy_random_loaded_only_to_draw(case, modules_loaded):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_numpy_ma_loaded_by_no_command(case, modules_loaded):
     assert [m for m in modules_loaded(case) if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
+@pytest.mark.parametrize("case", sorted(NO_NUMPY | {"detect"}))
+def test_quadrature_commands_load_no_numpy(case, modules_loaded):
+    numpy = [m for m in modules_loaded(case) if m.split(".")[0] == "numpy"]
+    assert (numpy == []) == (case in NO_NUMPY), numpy[:5]
+
+
+# the package's names, as its eager imports gave them before they were made lazy
+ALL = [
+    "AccuracyError", "AlphaEstimate", "CapabilityError", "ConditionReport",
+    "DegenerateFrequencyError", "InsufficientDataError", "OutlierVerdict",
+    "ParameterDomainError", "ProbabilityResult", "ScalingResult", "SingularityError",
+    "TailFamily", "TailRatioError", "TopTwo", "TrajectorySeries", "block_event_frequency",
+    "boundary_ratio", "check_theorem_conditions", "estimate_alpha_from_data",
+    "estimate_alpha_from_frequency", "exact_probability", "is_outlier",
+    "joint_oracle_probability", "ksigma_outliers", "limit_probability", "make_exponential",
+    "make_half_cauchy", "make_half_normal", "make_pareto", "make_symmetric_stable",
+    "mc_probability", "parse_family_spec", "running_mean_trajectory",
+    "scaling_exponent_experiment", "theory_slope", "top_two_magnitudes", "trajectories",
+    "wilson_interval",
+]
+
+PACKAGE_SCRIPT = """
+import json, sys
+import tailratio
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+names = {n: getattr(tailratio, n).__module__ for n in tailratio.__all__}
+kept = sorted(set(tailratio.__all__) & set(vars(tailratio)))
+print(json.dumps([loaded, tailratio.__all__, names, kept, sorted(dir(tailratio))]))
+"""
+
+
+def test_import_tailratio_loads_no_numpy_and_resolves_every_name():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, names, modules, kept, listed = json.loads(proc.stdout)
+    assert loaded == []  # read before any name was resolved
+    assert names == ALL
+    assert all(module.startswith("tailratio.") for module in modules.values())
+    # resolved on every use, never kept in the package: a wrapper bound to a
+    # module's name later (as perfbench's tracer does) is what the package gives
+    assert kept == []
+    assert set(ALL) <= set(listed)
+
+
+def test_package_name_follows_its_module():
+    import tailratio
+    from tailratio import probability
+
+    original = probability.exact_probability
+    try:
+        probability.exact_probability = wrapped = lambda *args: original(*args)
+        assert tailratio.exact_probability is wrapped
+    finally:
+        probability.exact_probability = original
+    assert tailratio.exact_probability is original
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        tailratio.nonesuch
 
 
 # the package's __init__ imports names to re-export them
