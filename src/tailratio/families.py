@@ -10,8 +10,8 @@ tail index; the light-tailed controls (exponential, half-normal) do not.
 
 A closed form (density, CDF, upper quantile) takes one float and returns
 one float, computed with ``math``, so that quadrature loads no numpy and
-prints the same digits on every CPU; where ``math`` raises on an overflow
-or a zero, the form returns the inf that numpy's form gives.  The sampler
+prints the same digits on every CPU; it is a bare formula, since the
+accessors of :class:`TailFamily` apply the law's edges.  The sampler
 and inverse-transform quantile forms take and return numpy arrays, and
 numpy is imported on their first use.  Each family with a quantile also
 writes out its upper-tail form, the x with 1 - F(x) = v, rather than
@@ -49,28 +49,21 @@ class _Numpy:
 np = _Numpy()
 
 
-def _inf_on_overflow(form, *args):
-    """form(*args), a function of math, or inf where it overflows, as numpy's form returns."""
-    try:
-        return form(*args)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class TailFamily:
     """A distribution family for the magnitude law, with optional closed forms.
 
     Callable fields may be ``None``; the corresponding accessor then raises
-    :class:`CapabilityError`.  The closed forms, float to float, are those
-    of the standard law; only the accessors apply ``scale`` (``xm``, 1/rate,
-    sigma), as ``_pdf(x/scale)/scale``, ``_cdf(x/scale)`` and ``scale`` times
-    a quantile or a sample.  Without a ``_sampler``, sampling is ``_quantile``
-    of an array of uniforms, which that quantile must then also take.
-    ``_upper_quantile`` is the upper-tail form, ``quantile(u, upper=True)``.
-    ``support_lo`` is the lower edge of the magnitude support (``xm`` for
-    Pareto, 0 otherwise).  ``mean`` is the standard law's mean (a symmetric
-    law's centre), the data's being ``scale * mean``, or ``None`` where it is
+    :class:`CapabilityError`.  The closed forms are bare formulas of the
+    standard law; only the accessors apply ``scale`` (``xm``, 1/rate, sigma),
+    as ``_pdf(x/scale)/scale``, ``_cdf(x/scale)`` and ``scale`` times a
+    quantile or a sample, and the law's edges and plain floats (see each).
+    Without a ``_sampler``, sampling is ``_quantile`` of an array of
+    uniforms, which that quantile must then also take.  ``_upper_quantile``
+    is the upper-tail form, ``quantile(u, upper=True)``.  ``support_lo`` is
+    the lower edge of the magnitude support (``xm`` for Pareto, 0
+    otherwise).  ``mean`` is the standard law's mean (a symmetric law's
+    centre), the data's being ``scale * mean``, or ``None`` where it is
     infinite or not given.
     """
 
@@ -93,21 +86,28 @@ class TailFamily:
         return fn
 
     def pdf(self, x):
-        """Density p(x) of the magnitude law at the float x."""
-        return self._require("_pdf", "density")(x / self.scale) / self.scale
+        """Density p(x) of the magnitude law at the float x, a float, 0.0 below the support."""
+        form = self._require("_pdf", "density")
+        return 0.0 if x < self.support_lo else float(form(x / self.scale)) / self.scale
 
     def cdf(self, x):
-        """Distribution function F(x) of the magnitude law at the float x."""
-        return self._require("_cdf", "cdf")(x / self.scale)
+        """Distribution function F(x) at the float x, a float, 0.0 below the support."""
+        form = self._require("_cdf", "cdf")
+        return 0.0 if x < self.support_lo else float(form(x / self.scale))
 
     def quantile(self, u, upper=False):
-        """Inverse CDF of the magnitude law at the float u in [0, 1).
+        """Inverse CDF of the magnitude law at the float u in [0, 1); inf past the floats.
 
         With `upper`, the upper-tail quantile: the x with 1 - F(x) = u, for u
-        in (0, 1], as R's ``lower.tail = FALSE``.
+        in [0, 1], as R's ``lower.tail = FALSE``, a float, and inf at u = 0.
         """
         form = self._require("_upper_quantile" if upper else "_quantile", "quantile")
-        return self.scale * form(u)
+        try:
+            if not upper:  # the form the sampler calls on arrays, so u is not tested
+                return self.scale * form(u)
+            return self.scale * float(form(u)) if u else math.inf
+        except OverflowError:  # where math raises, numpy's form gives inf
+            return math.inf
 
     def sample(self, count, seed):
         """Draw `count` i.i.d. magnitudes (``stable``: signed values), deterministic in `seed`."""
@@ -142,17 +142,16 @@ def make_pareto(alpha, xm=1.0):
     xm = check_real(xm, "xm", 0, math.inf)
 
     def pdf(x):
-        return alpha * math.pow(x, -alpha - 1.0) if x >= 1.0 else 0.0
+        return alpha * math.pow(x, -alpha - 1.0)
 
     def cdf(x):
-        return -math.expm1(-alpha * math.log(x)) if x >= 1.0 else 0.0
+        return -math.expm1(-alpha * math.log(x))
 
     def quantile(u):
-        # np.subtract makes 1 - u an np.float64 for a float u
-        return np.subtract(1.0, u) ** (-1.0 / alpha)
+        return (1.0 - u) ** (-1.0 / alpha)
 
-    def upper_quantile(v):  # 0 ** -y is inf
-        return _inf_on_overflow(math.pow, v, -1.0 / alpha) if v else math.inf
+    def upper_quantile(v):
+        return math.pow(v, -1.0 / alpha)
 
     return TailFamily(
         name="pareto",
@@ -182,8 +181,8 @@ def make_half_cauchy(scale=1.0):
         # three array passes, not four: halving is exact, so (pi*u)/2 == (pi/2)*u
         return np.tan(u * (np.pi / 2.0))
 
-    def upper_quantile(v):  # 1 / tan(0) is inf
-        return 1.0 / t if (t := math.tan(v * (math.pi / 2.0))) else math.inf
+    def upper_quantile(v):
+        return 1.0 / math.tan(v * (math.pi / 2.0))
 
     return TailFamily(
         name="half_cauchy",
@@ -202,16 +201,16 @@ def make_exponential(rate=1.0):
     r = check_real(rate, "rate", 1 / sys.float_info.max, math.inf)  # so 1/rate is a float
 
     def pdf(x):
-        return _inf_on_overflow(math.exp, -x)
+        return math.exp(-x)
 
     def cdf(x):
-        return -_inf_on_overflow(math.expm1, -x)
+        return -math.expm1(-x)
 
     def quantile(u):
         return -np.log1p(-u)
 
-    def upper_quantile(v):  # -log(0) is inf
-        return -math.log(v) if v else math.inf
+    def upper_quantile(v):
+        return -math.log(v)
 
     return TailFamily(
         name="exponential",

@@ -98,8 +98,8 @@ def trajectories(family, ns, replications, seed, threads=None):
     One for each r in 0 .. replications - 1, listed in that order.  They
     run on a pool of min(threads, replications, usable CPUs) threads, the
     usable CPUs being those this process may run on; `threads` None means
-    all of them.  At most two replications a thread are submitted and not
-    yet taken, so memory does not grow with `replications`.
+    all of them.  The list holds every trajectory, but at most two
+    replications a thread are submitted and not yet taken.
     """
     from concurrent.futures import ThreadPoolExecutor
 

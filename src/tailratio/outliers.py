@@ -56,10 +56,10 @@ class OutlierVerdict:
 def _finite_values(data, need, purpose):
     """`data` as a 1-D float array of at least `need` values, all finite."""
     x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or x.size < need:
-        raise InsufficientDataError(
-            f"need at least {need} values {purpose}, got {x.size}"
-        )
+    if x.ndim != 1:
+        raise ParameterDomainError(f"data must be one-dimensional, got shape {x.shape}")
+    if x.size < need:
+        raise InsufficientDataError(f"need at least {need} values {purpose}, got {x.size}")
     if not (np.isfinite(x.min()) and np.isfinite(x.max())):  # a NaN makes both NaN
         i = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ParameterDomainError(f"value at index {i} is not finite: {x[i]}")

@@ -210,9 +210,9 @@ def exact_probability(family, n, kappa):
     @cache  # a node recurs at every later level
     def ratio(w, c):
         log_w = math.log(w) if w <= 0.5 else math.log1p(-c)
-        x = float(family.quantile(-math.expm1(log_w / n), upper=True))  # x = kappa * y
-        den = kappa * float(family.pdf(x))
-        return float(family.pdf(x / kappa)) / den if den else 0.0
+        x = family.quantile(-math.expm1(log_w / n), upper=True)  # x = kappa * y
+        den = kappa * family.pdf(x)
+        return family.pdf(x / kappa) / den if den else 0.0
 
     # a quantile beyond the floats is inf, where p is 0
     value, err = _tanh_sinh(lambda w, c: list(map(ratio, w, c)))
@@ -285,7 +285,7 @@ def joint_oracle_probability(family, n, kappa):
 
     def density(s, c):  # F**(n-2)*p at x = lo + s/c, times dx/ds = 1/c**2
         x = lo + s / c
-        return float(family.cdf(x)) ** (n - 2) * float(family.pdf(x)) / c / c
+        return family.cdf(x) ** (n - 2) * family.pdf(x) / c / c
 
     def outer(w, c):
         nonlocal nodes
@@ -297,7 +297,7 @@ def joint_oracle_probability(family, n, kappa):
             gap = s1 - s0 if s1 < 0.5 else c0 - c1
             inner += gap * sum(g * density(s0 + gap * tau, c0 - gap * tau) for tau, g in _GAUSS)
             s0, c0 = s1, c1
-            values.append(coeff * float(family.pdf(lo / kappa + wi / ci)) / ci * inner / ci)
+            values.append(coeff * family.pdf(lo / kappa + wi / ci) / ci * inner / ci)
         return values
 
     value, err = _tanh_sinh(outer)
@@ -314,12 +314,12 @@ def boundary_ratio(family, kappa, x):
     """
     kappa = check_kappa(kappa)
     x = check_real(x, "x", -math.inf, math.inf)
-    den = kappa * float(family.pdf(kappa * x))
+    den = kappa * family.pdf(kappa * x)
     if den == 0.0:
         raise SingularityError(
             f"density vanishes at kappa*x = {kappa * x}; ratio undefined"
         )
-    return float(family.pdf(x)) / den
+    return family.pdf(x) / den
 
 
 def _times(x, unit):
@@ -381,9 +381,9 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     decay = []
     for k in (0, 29):  # 0 where F(kappa*x) is 0, else inf where p(kappa*x) is
         x = edge + (start - edge) * 2.0 ** -k
-        f = float(family.cdf(kappa * x))
-        den = float(family.pdf(kappa * x)) if f > 0.0 else 0.0
-        decay.append(f**n * float(family.pdf(x)) / den if den else math.inf if f > 0.0 else 0.0)
+        f = family.cdf(kappa * x)
+        den = family.pdf(kappa * x) if f > 0.0 else 0.0
+        decay.append(f**n * family.pdf(x) / den if den else math.inf if f > 0.0 else 0.0)
     zero_limit_ok = decay[-1] < 1e-8 or decay[-1] < decay[0] / 100.0
 
     # (b) total variation of r on the common support {x >= edge, kappa*x >= edge}
@@ -392,8 +392,8 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
     variation = array("d")  # |r(x') - r(x)| over consecutive points x, x' where r is finite
     for i in range(grid_points):  # the points of np.linspace(g_lo, hi, grid_points)
         x = i * step + g_lo if i < grid_points - 1 else hi
-        den = kappa * float(family.pdf(kappa * x))
-        r = float(family.pdf(x)) / den if den else math.inf
+        den = kappa * family.pdf(kappa * x)
+        r = family.pdf(x) / den if den else math.inf
         if math.isfinite(r):
             if last is not None:
                 variation.append(abs(r - last))
@@ -406,5 +406,5 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
         f"integral of |g| over [{_times(g_lo, unit)}, {_times(hi, unit)}] = "
         f"{integrand_integral:.3e}; boundary ratio at x = {_times(hi, unit)}: {ratio:.6e}"
     )
-    return ConditionReport(family.name, family.params, n, kappa, float(ratio), zero_limit_ok,
+    return ConditionReport(family.name, family.params, n, kappa, ratio, zero_limit_ok,
                            integrand_integral, notes)

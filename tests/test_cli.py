@@ -294,6 +294,21 @@ class TestFormatsAndConfig:
         code, out, err = run_cli(["prob-limit", "--config", str(cfg)], capsys)
         assert code == 2 and out == "" and f"--{key}" in err
 
+    def test_config_file_must_hold_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1]")
+        code, out, err = run_cli(["prob-limit", "--alpha", "1.5", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", "error: config file must hold a JSON object\n")
+
+    def test_config_list_is_the_comma_separated_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"ns": [10, 100], "replications": 3, "seed": 1}))
+        base = ["lln-demo", "--dist", "stable:alpha=0.6,scale=1"]
+        code, out, _ = run_cli(base + ["--config", str(cfg)], capsys)
+        assert code == 0 and out.startswith("n,median_abs_mean\n10,")
+        assert run_cli(base + ["--ns", "10,100", "--replications", "3", "--seed", "1"],
+                       capsys) == (0, out, "")
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"alpha": 1.5}))
@@ -536,6 +551,12 @@ class TestCheckConditions:
         code, out, _ = run_cli(["check-conditions", "--dist", "half_normal:sigma=1e-300"], capsys)
         assert code == 0
         assert "over [1e-302, 5e-299]" in json.loads(out)["notes"]
+
+    def test_probe_range_must_increase(self, capsys):
+        code, out, err = run_cli(["check-conditions", "--dist", "pareto:alpha=1.5",
+                                  "--probe-lo", "10", "--probe-hi", "5"], capsys)
+        assert code == 2 and out == "" and "probe_range must have lo < hi" in err
+        assert err.endswith("got (10, 5)\n")
 
     def test_flag_replaces_only_its_own_end(self, capsys):
         _, out, _ = run_cli(["check-conditions", "--dist", PARETO, "--probe-lo", "3"], capsys)

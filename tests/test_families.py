@@ -131,14 +131,15 @@ def test_forms_overflow_like_numpy(form, x, want):
         assert form(x) == want
 
 
-# at inf, at 0 and where math raises OverflowError, a closed form returns numpy's value
+# at inf, at 0 and where math raises OverflowError, a closed form returns numpy's value;
+# below the support, 0.0
 @pytest.mark.parametrize("form, x, want", [
     (partial(tr.make_pareto(0.01).quantile, upper=True), 1e-300, math.inf),
     (partial(tr.make_pareto(1.5).quantile, upper=True), 0.0, math.inf),
     (partial(tr.make_half_cauchy(1.0).quantile, upper=True), 0.0, math.inf),
     (partial(tr.make_exponential(1.0).quantile, upper=True), 0.0, math.inf),
-    (tr.make_exponential(1.0).pdf, -1000.0, math.inf),
-    (tr.make_exponential(1.0).cdf, -1000.0, -math.inf),
+    (tr.make_exponential(1.0).pdf, -1000.0, 0.0),
+    (tr.make_exponential(1.0).cdf, -1000.0, 0.0),
     (tr.make_pareto(1.5).pdf, math.inf, 0.0),
     (tr.make_pareto(1.5).cdf, math.inf, 1.0),
     (tr.make_half_cauchy(1.0).pdf, 1e200, 0.0),
@@ -160,6 +161,37 @@ def test_closed_forms_are_plain_floats(fam):
         assert type(fam.pdf(x)) is float and type(fam.cdf(x)) is float
     for v in (1e-300, 0.25, 1.0):
         assert type(fam.quantile(v, upper=True)) is float
+
+
+@pytest.mark.parametrize("fam", [
+    tr.make_pareto(1.5), tr.make_half_cauchy(1.0), tr.make_exponential(1.0),
+    tr.make_half_normal(1.0),
+], ids=lambda fam: fam.name)
+def test_forms_are_zero_below_the_support(fam):
+    for x in (-1.0, -1000.0, -math.inf):
+        for form in (fam.pdf, fam.cdf):
+            got = form(x)
+            assert type(got) is float and got == 0.0
+    # a NaN is not below the support: it reaches the form
+    assert math.isnan(fam.pdf(math.nan)) and math.isnan(fam.cdf(math.nan))
+
+
+def test_accessor_applies_the_support_before_the_form():
+    fam = tr.TailFamily(name="t", support_lo=2.0, _pdf=lambda x: 1 / 0, _cdf=lambda x: 1 / 0)
+    assert fam.pdf(1.0) == 0.0 and fam.cdf(1.0) == 0.0
+    with pytest.raises(CapabilityError):  # a missing form is refused even below the support
+        tr.TailFamily(name="t", support_lo=2.0).pdf(1.0)
+
+
+def test_accessor_returns_a_plain_float_for_a_numpy_form():
+    fam = tr.TailFamily(name="t", _pdf=np.exp, _cdf=np.tanh, _upper_quantile=np.log)
+    for got in (fam.pdf(0.5), fam.cdf(0.5), fam.quantile(0.5, upper=True)):
+        assert type(got) is float
+
+
+def test_pareto_lower_quantile_of_a_float_is_a_float():
+    got = tr.make_pareto(1.5).quantile(0.3)
+    assert type(got) is float and got == float.fromhex("0x1.44b81c08f5c25p+0")
 
 
 class TestHalfNormal:

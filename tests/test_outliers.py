@@ -230,6 +230,23 @@ class TestNonFinite:
             call([1.0, 2.0, bad, 10.0])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        tr.top_two_magnitudes,
+        lambda d: tr.is_outlier(d, 0.5),
+        lambda d: tr.ksigma_outliers(d, 3.0),
+        lambda d: tr.block_event_frequency(d, 5, 0.5),
+        lambda d: tr.estimate_alpha_from_data(d, 5, 0.5),
+    ],
+    ids=["top_two", "is_outlier", "ksigma", "block_frequency", "estimate_alpha"],
+)
+def test_multi_dimensional_data_is_an_argument_error(call):
+    # not InsufficientDataError: 100 values are enough, in the wrong shape
+    with pytest.raises(ParameterDomainError, match=r"shape \(10, 10\)"):
+        call(np.ones((10, 10)))
+
+
 # inputs that put ties, signs and the largest value on the edges of 8-value blocks
 EDGES = {
     "tie-across-an-edge": [0.0] * 7 + [5.0, 5.0] + [1.0] * 7,

@@ -477,6 +477,11 @@ class TestBoundaryRatio:
         with pytest.raises(SingularityError):
             tr.boundary_ratio(tr.make_pareto(1.0, 1.0), 0.5, 1.5)
 
+    def test_singularity_below_the_support(self):
+        # the density is 0 at kappa*x = -1, below half-Cauchy's support
+        with pytest.raises(SingularityError):
+            tr.boundary_ratio(tr.make_half_cauchy(), 0.5, -2.0)
+
 
 class TestConditionReport:
     def test_pareto_integrand_cancels(self):
