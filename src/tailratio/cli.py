@@ -8,9 +8,9 @@ Monte Carlo subcommands require an explicit --seed (no silent entropy).
 --threads (an integer >= 1, by default the CPUs the process may use) sets
 the threads lln-demo runs its replications on; the output does not depend
 on it.  prob-mc accepts --threads but runs on one thread: a trial is short
-(6 us for n = 50), and most of it is Python work that holds the GIL,
-setting up the trial's generator and calling its sampler, so threads would
-slow it down.
+(4.2 us for a half-Cauchy n = 50 on a 2-vCPU Xeon, numpy 2.4.6), and most
+of it is Python work that holds the GIL, setting up the trial's generator
+and calling its sampler, so threads would slow it down.
 
 Each subcommand is declared once in _COMMANDS: its help, its options and a
 handler that turns the resolved options into a record, which --format

@@ -1,22 +1,22 @@
 """Catalog of analytically specified distribution families.
 
-Each family describes the law of a magnitude ``|X|`` on ``[0, inf)`` through
+Each family describes the law of a magnitude ``|X|`` on ``[support_lo, inf)`` by
 whatever closed forms it admits (density, CDF, quantile) plus a
 reproducible sampler.  Every family but ``stable`` (the signed ``X``)
-samples ``|X|``, by inverse transform, ``quantile`` of uniforms, except
+samples ``|X|``, by inverse transform, ``_quantile`` of uniforms, except
 ``half_normal``, which takes ``sigma * |Z|`` of standard normals ``Z``.
 Heavy-tailed members (Pareto, half-Cauchy, symmetric stable) carry a nominal
 tail index; the light-tailed controls (exponential, half-normal) do not.
 
-A closed form (density, CDF, upper quantile) takes one float and returns
-one float, computed with ``math``, so that quadrature loads no numpy and
-prints the same digits on every CPU; it is a bare formula, since the
-accessors of :class:`TailFamily` apply the law's edges.  The sampler
-and inverse-transform quantile forms take and return numpy arrays, and
-numpy is imported on their first use.  Each family with a quantile also
-writes out its upper-tail form, the x with 1 - F(x) = v, rather than
-taking the quantile at 1 - v: quadrature asks for v as small as 1e-290,
-which 1 - v would round away.
+A closed form (density, CDF, upper quantile) is computed with ``math``, so
+that quadrature loads no numpy and prints the same digits on every CPU; it
+is a bare formula, since the accessors of :class:`TailFamily` apply the
+law's edges, and each accessor takes one float and returns one.  The
+sampler, and the inverse-transform quantile form it calls, take and return
+numpy arrays; numpy is imported on their first use.  Each family with a
+quantile also writes out its upper-tail form, the x with 1 - F(x) = v,
+rather than taking the quantile at 1 - v: quadrature asks for v as small
+as 1e-290, which 1 - v would round away.
 
 Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
@@ -33,7 +33,7 @@ from .rng import substream
 
 
 class _Numpy:
-    """numpy, imported on the first use of a sampler or an array quantile.
+    """numpy, imported on the first use of a sampler or a numpy quantile form.
 
     That first attribute access binds the module's ``np`` to numpy itself,
     so a later draw finds it as if it were imported at the top.
@@ -58,13 +58,13 @@ class TailFamily:
     standard law; only the accessors apply ``scale`` (``xm``, 1/rate, sigma),
     as ``_pdf(x/scale)/scale``, ``_cdf(x/scale)`` and ``scale`` times a
     quantile or a sample, and the law's edges and plain floats (see each).
-    Without a ``_sampler``, sampling is ``_quantile`` of an array of
-    uniforms, which that quantile must then also take.  ``_upper_quantile``
-    is the upper-tail form, ``quantile(u, upper=True)``.  ``support_lo`` is
-    the lower edge of the magnitude support (``xm`` for Pareto, 0
-    otherwise).  ``mean`` is the standard law's mean (a symmetric law's
-    centre), the data's being ``scale * mean``, or ``None`` where it is
-    infinite or not given.
+    Without a ``_sampler``, sampling calls ``_quantile`` on an array of
+    uniforms, which that form must then take; the accessor takes one float.
+    ``_upper_quantile`` is the upper-tail form, ``quantile(u, upper=True)``.
+    The support is ``[support_lo, inf)``, ``support_lo`` being ``xm`` for
+    Pareto, 0 otherwise.  ``mean`` is the standard law's mean (a symmetric
+    law's centre), the data's being ``scale * mean``, or ``None`` where it
+    is infinite or not given.
     """
 
     name: str
@@ -96,16 +96,19 @@ class TailFamily:
         return 0.0 if x < self.support_lo else float(form(x / self.scale))
 
     def quantile(self, u, upper=False):
-        """Inverse CDF of the magnitude law at the float u in [0, 1); inf past the floats.
+        """Inverse CDF of the magnitude law at the float level u in [0, 1], a float.
 
-        With `upper`, the upper-tail quantile: the x with 1 - F(x) = u, for u
-        in [0, 1], as R's ``lower.tail = FALSE``, a float, and inf at u = 0.
+        With `upper`, the x with 1 - F(x) = u, as R's ``lower.tail = FALSE``.  The
+        full end (u = 0; with `upper`, 1) is ``support_lo``, the empty end inf (the
+        support is unbounded above), as is a quantile past the floats.
         """
         form = self._require("_upper_quantile" if upper else "_quantile", "quantile")
+        if u < 0.0 or u > 1.0:  # so a NaN reaches the form
+            raise ParameterDomainError(f"u must be a level in [0, 1], got {u!r}")
+        if u == 0.0 or u == 1.0:  # the full end is u == upper
+            return self.support_lo if u == upper else math.inf
         try:
-            if not upper:  # the form the sampler calls on arrays, so u is not tested
-                return self.scale * form(u)
-            return self.scale * float(form(u)) if u else math.inf
+            return self.scale * float(form(u))
         except OverflowError:  # where math raises, numpy's form gives inf
             return math.inf
 

@@ -161,6 +161,7 @@ def test_closed_forms_are_plain_floats(fam):
         assert type(fam.pdf(x)) is float and type(fam.cdf(x)) is float
     for v in (1e-300, 0.25, 1.0):
         assert type(fam.quantile(v, upper=True)) is float
+    assert type(fam.quantile(0.3)) is float  # the lower tail too, numpy forms included
 
 
 @pytest.mark.parametrize("fam", [
@@ -187,6 +188,41 @@ def test_accessor_returns_a_plain_float_for_a_numpy_form():
     fam = tr.TailFamily(name="t", _pdf=np.exp, _cdf=np.tanh, _upper_quantile=np.log)
     for got in (fam.pdf(0.5), fam.cdf(0.5), fam.quantile(0.5, upper=True)):
         assert type(got) is float
+
+
+@pytest.mark.parametrize("fam, edge", [
+    (tr.make_pareto(1.5, 3.0), 3.0), (tr.make_half_cauchy(2.0), 0.0),
+    (tr.make_exponential(0.5), 0.0), (tr.make_half_normal(2.0), 0.0),
+], ids=["pareto", "half_cauchy", "exponential", "half_normal"])
+class TestQuantileEnds:
+    # one rule for both tails: a float level in [0, 1] in, a float out
+    def test_full_end_is_the_support_edge(self, fam, edge):
+        for got in (fam.quantile(0.0), fam.quantile(1.0, upper=True)):
+            assert type(got) is float and got == edge and math.copysign(1.0, got) == 1.0
+
+    def test_empty_end_is_inf(self, fam, edge):
+        assert fam.quantile(1.0) == math.inf and fam.quantile(0.0, upper=True) == math.inf
+
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("u", [-0.1, 1.5, -math.inf, math.inf])
+    def test_level_outside_the_unit_interval_is_refused(self, fam, edge, u, upper):
+        with pytest.raises(ParameterDomainError, match=r"u must be a level in \[0, 1\]"):
+            fam.quantile(u, upper=upper)
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_nan_reaches_the_form(self, fam, edge, upper):
+        assert math.isnan(fam.quantile(math.nan, upper=upper))
+
+    def test_array_is_refused(self, fam, edge):
+        with pytest.raises(ValueError, match="ambiguous"):
+            fam.quantile(np.array([0.2, 0.4]))
+
+
+def test_quantile_without_the_form_is_refused_first():
+    fam = tr.make_symmetric_stable(0.6)
+    for u in (0.5, 1.5):
+        with pytest.raises(CapabilityError, match="no quantile"):
+            fam.quantile(u)
 
 
 def test_pareto_lower_quantile_of_a_float_is_a_float():
@@ -361,8 +397,9 @@ class TestSampling:
         ids=lambda f: f.name,
     )
     def test_sample_is_quantile_of_uniforms(self, fam):
+        # the sampler calls the form on the array of uniforms; the accessor takes one float
         got = fam.sample(1000, 31)
-        want = fam.quantile(substream(31).random(1000))
+        want = fam.scale * fam._quantile(substream(31).random(1000))
         assert got.tobytes() == want.tobytes()
 
     def test_quantile_only_family_samples(self):

@@ -147,14 +147,19 @@ print(json.dumps([loaded, tailratio.__all__, names, kept, sorted(dir(tailratio))
 """
 
 
-def test_import_tailratio_loads_no_numpy_and_resolves_every_name():
+def run_fresh(script):
+    """The JSON that `script` prints, run in a fresh interpreter on the repo's source."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-c", PACKAGE_SCRIPT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, names, modules, kept, listed = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_import_tailratio_loads_no_numpy_and_resolves_every_name():
+    loaded, names, modules, kept, listed = run_fresh(PACKAGE_SCRIPT)
     assert loaded == []  # read before any name was resolved
     assert names == ALL
     assert all(module.startswith("tailratio.") for module in modules.values())
@@ -162,6 +167,18 @@ def test_import_tailratio_loads_no_numpy_and_resolves_every_name():
     # module's name later (as perfbench's tracer does) is what the package gives
     assert kept == []
     assert set(ALL) <= set(listed)
+
+
+def test_dir_lists_every_name_sorted_and_loads_no_numpy():
+    listed, names, loaded = run_fresh("""
+import json, sys
+import tailratio
+listed = dir(tailratio)
+print(json.dumps([listed, tailratio.__all__, [m for m in sys.modules if m.split(".")[0] == "numpy"]]))
+""")
+    assert listed == sorted(listed)
+    assert set(names) <= set(listed)
+    assert loaded == []  # listing a name does not resolve it
 
 
 def test_package_name_follows_its_module():

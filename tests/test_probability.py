@@ -131,6 +131,14 @@ class TestExactProbability:
         r = tr.exact_probability(tr.make_pareto(1.5, 1.0), n, 0.5)
         assert abs(r.value - 0.5**1.5) < 1e-8
 
+    @pytest.mark.parametrize("fam, value", [
+        (tr.make_pareto(1.5), 0.35355339059327373), (tr.make_half_cauchy(), 0.726332959651213),
+        (tr.make_exponential(), 0.6666666666666666), (tr.make_half_normal(), 0.590334470601733),
+    ], ids=["pareto", "half_cauchy", "exponential", "half_normal"])
+    def test_value_where_the_outermost_nodes_reach_the_full_end(self, fam, value):
+        # at n = 2, 35 nodes ask quantile(1.0, upper=True), the support edge
+        assert tr.exact_probability(fam, 2, 0.5).value == value
+
     def test_pareto_alpha_one_small_n(self):
         r = tr.exact_probability(tr.make_pareto(1.0, 1.0), 2, 0.5)
         assert abs(r.value - 0.5) < 1e-8
