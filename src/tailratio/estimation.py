@@ -9,7 +9,8 @@ At finite block size n this targets the finite-n event probability, not the
 limit, so for non-Pareto families alpha_hat should be read as an effective
 index at block size n (for Pareto the two coincide at every n).  The
 confidence interval transports the Wilson interval of p_hat through the same
-monotone map; the map is decreasing in p_hat, so the endpoints swap.
+monotone map, which takes an end of 0 to inf and an end of 1 to 0; the map is
+decreasing in p_hat, so the endpoints swap.
 """
 
 import math
@@ -34,6 +35,9 @@ class AlphaEstimate:
 
 
 def _alpha_of(p, kappa):
+    """ln p / ln kappa, with its limits at the ends: inf at p = 0, and 0.0 (not -0.0) at 1."""
+    if p in (0.0, 1.0):
+        return math.inf if p == 0.0 else 0.0
     return math.log(p) / math.log(kappa)
 
 

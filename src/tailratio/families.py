@@ -16,7 +16,9 @@ sampler, and the inverse-transform quantile form it calls, take and return
 numpy arrays; numpy is imported on their first use.  Each family with a
 quantile also writes out its upper-tail form, the x with 1 - F(x) = v,
 rather than taking the quantile at 1 - v: quadrature asks for v as small
-as 1e-290, which 1 - v would round away.
+as 1e-290, which 1 - v would round away.  The half-normal family's two
+quantile forms are the two-sided normal quantile of :mod:`.intervals`, its
+level and its tail form, which only ``make_half_normal`` imports.
 
 Families are immutable and safe to share across threads; sampling is a pure
 function of ``(family, count, seed)``.
@@ -28,7 +30,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import CapabilityError, ParameterDomainError, check_int, check_real
-from .intervals import _ndtri
 from .rng import substream
 
 
@@ -229,6 +230,8 @@ def make_exponential(rate=1.0):
 
 def make_half_normal(sigma=1.0):
     """Half-normal family, the second light-tailed control."""
+    from .intervals import _level_z, _tail_z
+
     s = check_real(sigma, "sigma", 0, math.inf)
 
     def pdf(x):
@@ -236,12 +239,6 @@ def make_half_normal(sigma=1.0):
 
     def cdf(x):
         return math.erf(x / math.sqrt(2.0))
-
-    def quantile(u):
-        return _ndtri((1.0 + u) / 2.0)
-
-    def upper_quantile(v):
-        return -_ndtri(v / 2.0)
 
     def sampler(rng, size):
         # not the quantile of uniforms: the scalar ndtri is 100 times slower
@@ -254,8 +251,8 @@ def make_half_normal(sigma=1.0):
         mean=math.sqrt(2.0 / math.pi),
         _pdf=pdf,
         _cdf=cdf,
-        _quantile=quantile,
-        _upper_quantile=upper_quantile,
+        _quantile=_level_z,
+        _upper_quantile=_tail_z,
         _sampler=sampler,
     )
 

@@ -1,4 +1,5 @@
-"""Binomial proportion confidence intervals."""
+"""Binomial proportion confidence intervals, and the two-sided normal quantile
+that gives them their z and is the half-normal family's quantile."""
 
 import math
 
@@ -85,11 +86,21 @@ def _ndtri(y):
     return x if upper else -x
 
 
+def _level_z(u):
+    """The z with P(|Z| <= z) = u, for the float level u in [0, 1]."""
+    y = 0.5 + u / 2.0  # 1 only at u = 1 - 2**-53 and 1, whose tail 1 - u is exact
+    return _tail_z(1.0 - u) if y == 1.0 else _ndtri(y)
+
+
+def _tail_z(v):
+    """The z with P(|Z| > z) = v, for the float tail v in [0, 1]."""
+    return -_ndtri(v / 2.0)
+
+
 def normal_quantile(confidence):
     """Two-sided z value for the given confidence level."""
     # ndtri, not statistics.NormalDist().inv_cdf, which is 1 ulp off at 0.975
-    confidence = check_real(confidence, "confidence", 0, 1)
-    return _ndtri(0.5 + confidence / 2.0)
+    return _level_z(check_real(confidence, "confidence", 0, 1))
 
 
 def wilson_interval(p_hat, trials, confidence=0.95):

@@ -45,7 +45,6 @@ from .errors import (
     AccuracyError, ParameterDomainError, SingularityError,
     check_int, check_kappa, check_real,
 )
-from .intervals import wilson_interval
 from .rng import check_seed, substream
 
 # the tanh-sinh nodes t = j*h span [-_T, _T], where w and 1 - w fall to 1e-275
@@ -231,6 +230,7 @@ def mc_probability(family, n, kappa, trials, seed, confidence=0.95):
     """
     import numpy as np
 
+    from .intervals import wilson_interval
     from .outliers import _block_rows, _count_events
 
     n = check_int(n, "n", 2, _N_MAX)

@@ -138,6 +138,15 @@ class TestProbability:
         _, out2, _ = run_cli(base + ["--threads", "4"], capsys)
         assert out1 == out2
 
+    def test_mc_interval_at_a_confidence_next_to_1(self, capsys):
+        # 1 - 2**-53: its z is finite, so the interval is not the whole of [0, 1]
+        code, out, _ = run_cli([
+            "prob-mc", "--dist", "pareto:alpha=1.5", "--n", "5", "--trials", "1000",
+            "--seed", "1", "--confidence", "0.9999999999999999",
+        ], capsys)
+        rec = json.loads(out)
+        assert code == 0 and 0.0 < rec["ci_lo"] < rec["value"] < rec["ci_hi"] < 1.0
+
     def test_mc_requires_seed(self, capsys):
         code, _, err = run_cli(
             ["prob-mc", "--dist", PARETO, "--n", "10"], capsys
@@ -382,6 +391,20 @@ class TestEstimateAlpha:
             monkeypatch=monkeypatch,
         )
         assert code == 6 and err.endswith("(97.5% upper bound on alpha: 1.81227)\n")
+
+    @pytest.mark.parametrize("stdin,bound", [
+        ("1\n1\n1\n1\n", "lower bound on alpha: inf"),  # p_hat = 0 = p_hi
+        ("1\n2\n3\n100\n", "upper bound on alpha: 0"),  # p_hat = 1 = p_lo
+    ])
+    def test_degenerate_bound_where_z_is_0(self, stdin, bound, capsys, monkeypatch):
+        # z rounds to 0 at confidence 1e-300, so the Wilson interval is p_hat alone
+        code, out, err = run_cli(
+            ["estimate-alpha", "--block-size", "2", "--confidence", "1e-300"],
+            capsys,
+            stdin=stdin,
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (6, "") and err.endswith(f"(1e-298% {bound})\n")
 
 
 class TestLLNDemo:

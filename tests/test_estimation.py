@@ -1,5 +1,7 @@
 """Tail-index estimation from block frequencies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,11 @@ class TestFromFrequency:
         with pytest.raises(DegenerateFrequencyError) as exc:
             tr.estimate_alpha_from_frequency(0.0, 0.5, 50)
         assert exc.value.bound_side == "lower" and exc.value.bound > 0.0
+
+    def test_interval_end_at_0_is_alpha_inf(self):
+        # the Wilson interval's lower end rounds to 0, whose alpha is inf
+        est = tr.estimate_alpha_from_frequency(1e-300, 0.5, 10**18, 0.5)
+        assert est.ci[0] < est.alpha_hat < est.ci[1] == math.inf
 
     @pytest.mark.parametrize(
         "p,kappa,blocks", [(0.5, 0.0, 10), (0.5, 1.0, 10), (1.5, 0.5, 10), (0.5, 0.5, 0)]

@@ -241,10 +241,19 @@ class TestHalfNormal:
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_quantile_is_scipy_ndtri(self, sigma):
-        # the quantile of prob-exact's integrand, so its output keeps its bits
+        # the lower quantile; prob-exact's integrand takes the upper form.  At
+        # u = 1 - 2**-53 (the grid's 1 - 1e-16), where (1 + u)/2 rounds to 1 and
+        # ndtri gives inf, it is the upper form at the tail 1 - u = 2**-53
         got = pointwise(tr.make_half_normal(sigma).quantile, self.U)
         want = sigma * special.ndtri((1.0 + self.U) / 2.0)
-        assert got.tobytes() == want.tobytes()
+        edge = self.U == 1.0 - 2.0**-53
+        want[edge] = sigma * -special.ndtri(2.0**-53 / 2.0)
+        assert edge.sum() == 1 and got.tobytes() == want.tobytes()
+
+    def test_quantile_next_to_1_is_the_upper_form(self):
+        fam = tr.make_half_normal()  # 0.9999999999999999 is 1 - 2**-53
+        assert fam.quantile(0.9999999999999999) == fam.quantile(2.0**-53, upper=True) \
+            == 8.292361075813597
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_cdf_within_two_ulps_of_scipy_erf(self, sigma):

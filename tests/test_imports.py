@@ -8,7 +8,8 @@ check-conditions) and `import tailratio` load no numpy at all; a command
 that reads data does, which shows that the check can see it.  A command that
 draws no random numbers loads no numpy.random module either; one that draws
 does.  No command loads numpy.ma, which np.median imports to look for masked
-arrays.
+arrays.  Only a command that runs a normal quantile (the Wilson interval's z
+or the half-normal family's quantile) loads tailratio.intervals.
 
 Each case runs in a fresh interpreter, because sys.modules keeps whatever an
 earlier import in the test process loaded; every check reads that one run.
@@ -41,6 +42,7 @@ CASES = {
     "lln-demo-half_normal": ["lln-demo", "--dist", NORMAL, "--seed", "1",
                              "--ns", "10,100", "--replications", "3"],
     "check-conditions": ["check-conditions", "--dist", PARETO],
+    "check-conditions-half_cauchy": ["check-conditions", "--dist", CAUCHY],
     "check-conditions-half_normal": ["check-conditions", "--dist", NORMAL],
     "estimate-alpha": ["estimate-alpha", "--input", "{data}", "--block-size", "10"],
     "prob-mc": ["prob-mc", "--dist", PARETO, "--n", "5", "--trials", "50", "--seed", "1"],
@@ -72,6 +74,10 @@ DRAWS = {c for c in CASES if c.startswith(("lln-demo", "prob-mc"))}
 # the cases that load no numpy: the quadrature commands, and importing the CLI
 NO_NUMPY = {c for c in CASES if c == "import" or c.startswith(
     ("prob-limit", "prob-exact", "prob-oracle", "check-conditions"))}
+
+# the cases that run a normal quantile: a Wilson interval, or a half-normal family
+NORMAL_QUANTILE = {c for c in CASES
+                   if c.startswith(("prob-mc", "estimate-alpha")) or c.endswith("half_normal")}
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +126,11 @@ def test_numpy_ma_loaded_by_no_command(case, modules_loaded):
 def test_quadrature_commands_load_no_numpy(case, modules_loaded):
     numpy = [m for m in modules_loaded(case) if m.split(".")[0] == "numpy"]
     assert (numpy == []) == (case in NO_NUMPY), numpy[:5]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_intervals_loaded_only_to_run_a_normal_quantile(case, modules_loaded):
+    assert ("tailratio.intervals" in modules_loaded(case)) == (case in NORMAL_QUANTILE)
 
 
 # the package's names, as its eager imports gave them before they were made lazy

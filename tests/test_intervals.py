@@ -71,3 +71,10 @@ def test_normal_quantile_equals_scipy(confidence):
 def test_normal_quantile_equals_scipy_on_a_grid():
     for confidence in np.linspace(1e-4, 1.0 - 1e-4, 9999).tolist():
         assert normal_quantile(confidence) == float(special.ndtri(0.5 + confidence / 2.0))
+
+
+def test_normal_quantile_next_to_1_is_the_tail_form():
+    # 0.5 + c/2 rounds to 1 at c = 1 - 2**-53, where ndtri is inf; the tail
+    # 1 - c = 2**-53 is exact
+    assert normal_quantile(0.9999999999999999) == -float(special.ndtri(2.0**-54)) \
+        == 8.292361075813597
