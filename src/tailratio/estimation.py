@@ -14,15 +14,14 @@ decreasing in p_hat, so the endpoints swap.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateFrequencyError, check_int, check_kappa, check_real
 from .intervals import wilson_interval
 from .outliers import block_event_frequency
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
+class AlphaEstimate(NamedTuple):
     """Estimated stability index with its provenance."""
 
     alpha_hat: float

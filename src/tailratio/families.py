@@ -20,14 +20,13 @@ as 1e-290, which 1 - v would round away.  The half-normal family's two
 quantile forms are the two-sided normal quantile of :mod:`.intervals`, its
 level and its tail form, which only ``make_half_normal`` imports.
 
-Families are immutable and safe to share across threads; sampling is a pure
-function of ``(family, count, seed)``.
+Families are immutable (a slotted class whose fields cannot be assigned) and
+safe to share across threads; sampling is a pure function of
+``(family, count, seed)``.
 """
 
-import inspect
 import math
 import sys
-from dataclasses import dataclass, field, replace
 
 from .errors import CapabilityError, ParameterDomainError, check_int, check_real
 from .rng import substream
@@ -50,7 +49,6 @@ class _Numpy:
 np = _Numpy()
 
 
-@dataclass(frozen=True)
 class TailFamily:
     """A distribution family for the magnitude law, with optional closed forms.
 
@@ -65,20 +63,24 @@ class TailFamily:
     The support is ``[support_lo, inf)``, ``support_lo`` being ``xm`` for
     Pareto, 0 otherwise.  ``mean`` is the standard law's mean (a symmetric
     law's centre), the data's being ``scale * mean``, or ``None`` where it
-    is infinite or not given.
+    is infinite or not given.  Assigning to a field raises AttributeError.
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
-    scale: float = 1.0
-    tail_index: float | None = None
-    support_lo: float = 0.0
-    mean: float | None = None
-    _pdf: callable = None
-    _cdf: callable = None
-    _quantile: callable = None
-    _upper_quantile: callable = None
-    _sampler: callable = None
+    __slots__ = ("name", "params", "scale", "tail_index", "support_lo", "mean",
+                 "_pdf", "_cdf", "_quantile", "_upper_quantile", "_sampler")
+
+    def __init__(self, name, params=None, scale=1.0, tail_index=None, support_lo=0.0,
+                 mean=None, _pdf=None, _cdf=None, _quantile=None, _upper_quantile=None,
+                 _sampler=None):
+        params = {} if params is None else params
+        given = locals()  # each slot is the parameter of its name
+        for attr in self.__slots__:
+            object.__setattr__(self, attr, given[attr])
+
+    def __setattr__(self, attr, *value):
+        raise AttributeError(f"TailFamily is immutable: {attr!r} cannot change")
+
+    __delattr__ = __setattr__
 
     def _require(self, attr, what):
         fn = getattr(self, attr)
@@ -132,7 +134,8 @@ class TailFamily:
 
     def standard_law(self):
         """The family in its own unit: scale 1, and the support edge divided by the scale."""
-        return replace(self, scale=1.0, support_lo=self.support_lo / self.scale)
+        fields = {attr: getattr(self, attr) for attr in self.__slots__}
+        return TailFamily(**fields | {"scale": 1.0, "support_lo": self.support_lo / self.scale})
 
 
 def make_pareto(alpha, xm=1.0):
@@ -354,7 +357,8 @@ def parse_family_spec(spec):
         known = ", ".join(sorted(_MAKERS))
         raise ParameterDomainError(f"unknown family {name!r} (known: {known})")
     maker = _MAKERS[name]
-    signature = inspect.signature(maker)
+    code = maker.__code__
+    keys = code.co_varnames[:code.co_argcount]
     kwargs = {}
     if rest.strip():
         for item in rest.split(","):
@@ -362,17 +366,15 @@ def parse_family_spec(spec):
             key = key.strip()
             if not sep or not key:
                 raise ParameterDomainError(f"malformed parameter {item!r} in {spec!r}")
-            if key not in signature.parameters:
+            if key not in keys:
                 raise ParameterDomainError(
                     f"unknown parameter {key!r} for family {name!r}"
                 )
             if key in kwargs:
                 raise ParameterDomainError(f"parameter {key!r} given twice in {spec!r}")
             kwargs[key] = value
-    try:
-        signature.bind(**kwargs)
-    except TypeError:
+    if not kwargs.keys() >= set(keys[:len(keys) - len(maker.__defaults__ or ())]):
         raise ParameterDomainError(
             f"family {name!r} is missing a required parameter in {spec!r}"
-        ) from None
+        )
     return maker(**kwargs)

@@ -20,8 +20,8 @@ the number of threads.
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +33,14 @@ from .rng import check_seed, substream
 _CHUNK = 10_000
 
 
-@dataclass(frozen=True)
-class TrajectorySeries:
+class TrajectorySeries(NamedTuple):
     """Running means of one deterministic sample stream at the sizes `ns`."""
 
     ns: tuple
     running_means: tuple
 
 
-@dataclass(frozen=True)
-class ScalingResult:
+class ScalingResult(NamedTuple):
     """Log-log slope of median |running mean| versus sample size.
 
     `theory_slope` is 1/min(alpha, 2) - 1, alpha the family's tail index,

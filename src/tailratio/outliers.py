@@ -13,7 +13,7 @@ Every kernel walks its input in blocks of at most 2**13 values (64 KiB), or of
 max(1, 2**13 // n) whole samples of n, so a call holds its input once plus one block.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def _block_rows(n):
     return max(1, _BLOCK_VALUES // n)
 
 
-@dataclass(frozen=True)
-class TopTwo:
+class TopTwo(NamedTuple):
     """Largest and second-largest magnitudes with their source indices."""
 
     max_magnitude: float
@@ -43,8 +42,7 @@ class TopTwo:
     second_index: int
 
 
-@dataclass(frozen=True)
-class OutlierVerdict:
+class OutlierVerdict(NamedTuple):
     """Result of the ratio test: is the top magnitude an outlier of order 1/kappa."""
 
     is_outlier: bool

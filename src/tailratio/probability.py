@@ -38,8 +38,8 @@ numpy gave where its vector loops agree with libm.
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .errors import (
     AccuracyError, ParameterDomainError, SingularityError,
@@ -70,8 +70,7 @@ _N_MAX = 2**63 - 1
 _GRID_MAX = 10**7
 
 
-@dataclass(frozen=True)
-class ProbabilityResult:
+class ProbabilityResult(NamedTuple):
     """A probability value with its provenance and error estimate, in record order.
 
     `family` and `params` name the law the route was given, `params` in the
@@ -88,12 +87,12 @@ class ProbabilityResult:
     ci: tuple | None = None
     trials: int | None = None
     seed: int | None = None
-    # quadrature: integrand evaluations; not part of the record
-    neval: int | None = field(default=None, metadata={"record": False})
+    neval: int | None = None  # quadrature: integrand evaluations
+
+    _unrecorded = ("neval",)  # fields left out of the record
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Numeric evidence for the convergence theorem's side conditions, in record order."""
 
     family: str

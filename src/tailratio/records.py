@@ -1,15 +1,15 @@
 """Flat output records and plain-text data ingestion.
 
-A record is its result: :func:`flat` writes a result dataclass's fields in
+A record is its result: :func:`flat` writes a result named tuple's fields in
 their declared order, so the fixed key order of every record is the order
-of its result's fields, and a field is kept out of the record by declaring
-it so.  A record is emitted as a single JSON object or a one-row CSV table.
-CSV uses '.' as the decimal separator, no grouping, and 17 significant
-digits so 64-bit floats round-trip losslessly.
+of its result's fields, and a field is kept out of the record by naming it
+in the class attribute ``_unrecorded``.  A record is emitted as a single
+JSON object or a one-row CSV table.  CSV uses '.' as the decimal separator,
+no grouping, and 17 significant digits so 64-bit floats round-trip
+losslessly.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -31,22 +31,22 @@ def flat(result):
     """The record of a result: its fields in order, a nested result's in its place.
 
     ``ci`` becomes ci_lo, ci_hi (two nulls for None), a ``params`` dict one
-    ``key=value;...`` string, and a field declared with
-    ``metadata={"record": False}`` is left out.
+    ``key=value;...`` string, and a field named in the result's
+    ``_unrecorded`` is left out.
     """
     record = {}
-    for f in dataclasses.fields(result):
-        if not f.metadata.get("record", True):
+    unrecorded = getattr(result, "_unrecorded", ())
+    for name, value in zip(result._fields, result):
+        if name in unrecorded:
             continue
-        value = getattr(result, f.name)
-        if dataclasses.is_dataclass(value):
+        if hasattr(value, "_fields"):  # a nested result
             record.update(flat(value))
-        elif f.name == "ci":
+        elif name == "ci":
             record["ci_lo"], record["ci_hi"] = value or (None, None)
-        elif f.name == "params":
+        elif name == "params":
             record["params"] = ";".join(f"{k}={_fmt(float(v))}" for k, v in value.items())
         else:
-            record[f.name] = value
+            record[name] = value
     return record
 
 

@@ -1,5 +1,6 @@
 """Distribution-family catalog: closed forms, samplers, spec strings."""
 
+import inspect
 import math
 import warnings
 from functools import partial
@@ -216,6 +217,44 @@ class TestQuantileEnds:
     def test_array_is_refused(self, fam, edge):
         with pytest.raises(ValueError, match="ambiguous"):
             fam.quantile(np.array([0.2, 0.4]))
+
+
+FIELDS = ("name", "params", "scale", "tail_index", "support_lo", "mean",
+          "_pdf", "_cdf", "_quantile", "_upper_quantile", "_sampler")
+
+
+class TestTailFamilyType:
+    def test_defaults_and_a_fresh_params_dict(self):
+        fam = tr.TailFamily(name="t")
+        assert [getattr(fam, f) for f in FIELDS] == ["t", {}, 1.0, None, 0.0, None] + [None] * 5
+        assert fam.params is not tr.TailFamily("t").params
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_field_cannot_be_assigned_or_deleted(self, field):
+        fam = tr.make_pareto(1.5, 3.0)
+        before = getattr(fam, field)
+        with pytest.raises(AttributeError):
+            setattr(fam, field, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(fam, field)
+        assert getattr(fam, field) is before
+
+    def test_no_field_can_be_added(self):
+        with pytest.raises(AttributeError):
+            tr.make_pareto(1.5).extra = 1.0
+
+    @pytest.mark.parametrize("fam", [
+        tr.make_pareto(1.5, 3.0), tr.make_half_normal(2.0), tr.make_symmetric_stable(0.6, 5.0),
+    ], ids=lambda f: f.name)
+    def test_standard_law_is_a_new_family_in_its_own_unit(self, fam):
+        before = [getattr(fam, f) for f in FIELDS]
+        law = fam.standard_law()
+        assert type(law) is tr.TailFamily and law is not fam
+        assert (law.scale, law.support_lo) == (1.0, fam.support_lo / fam.scale)
+        for f in FIELDS:
+            if f not in ("scale", "support_lo"):
+                assert getattr(law, f) is getattr(fam, f), f  # every form and the params
+        assert all(getattr(fam, f) is value for f, value in zip(FIELDS, before))
 
 
 def test_quantile_without_the_form_is_refused_first():
@@ -593,6 +632,13 @@ class TestSpecKeys:
         fam = tr.parse_family_spec(half_spec(name, required))
         assert fam.params == tr.families._MAKERS[name](*[0.5] * len(required)).params
         assert set(fam.params) == set(required + optional)
+
+    def test_keys_are_the_makers_parameters(self, name):
+        # parse_family_spec reads them off the maker's code object, not through inspect
+        parameters = inspect.signature(tr.families._MAKERS[name]).parameters
+        required, optional = SPEC_KEYS[name]
+        assert list(parameters) == required + optional
+        assert [k for k, p in parameters.items() if p.default is p.empty] == required
 
     def test_extra_key(self, name):
         with pytest.raises(ParameterDomainError) as exc:

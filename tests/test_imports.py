@@ -5,11 +5,14 @@ Quadrature, the normal quantile and the half-normal family's erf are the
 library's own or the standard library's; scipy is only the tests' reference.
 The quadrature commands (prob-limit, prob-exact, prob-oracle and
 check-conditions) and `import tailratio` load no numpy at all; a command
-that reads data does, which shows that the check can see it.  A command that
-draws no random numbers loads no numpy.random module either; one that draws
-does.  No command loads numpy.ma, which np.median imports to look for masked
-arrays.  Only a command that runs a normal quantile (the Wilson interval's z
-or the half-normal family's quantile) loads tailratio.intervals.
+that reads data does, which shows that the check can see it.  They load
+neither the standard library's inspect nor its dataclasses (with inspect's own
+imports, over half of what `import tailratio.cli` would cost); a command that
+reads data loads inspect through numpy.  A command that draws no random
+numbers loads no numpy.random module either; one that draws does.  No command
+loads numpy.ma, which np.median imports to look for masked arrays.  Only a
+command that runs a normal quantile (the Wilson interval's z or the
+half-normal family's quantile) loads tailratio.intervals.
 
 Each case runs in a fresh interpreter, because sys.modules keeps whatever an
 earlier import in the test process loaded; every check reads that one run.
@@ -126,6 +129,12 @@ def test_numpy_ma_loaded_by_no_command(case, modules_loaded):
 def test_quadrature_commands_load_no_numpy(case, modules_loaded):
     numpy = [m for m in modules_loaded(case) if m.split(".")[0] == "numpy"]
     assert (numpy == []) == (case in NO_NUMPY), numpy[:5]
+
+
+@pytest.mark.parametrize("case", sorted(NO_NUMPY | {"detect"}))
+def test_quadrature_commands_load_no_inspect_or_dataclasses(case, modules_loaded):
+    loaded = [m for m in modules_loaded(case) if m in ("inspect", "dataclasses")]
+    assert loaded == ([] if case in NO_NUMPY else ["inspect"])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -9,7 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,14 +20,23 @@ from tailratio.records import flat, read_values
 
 
 def test_flat_writes_params_a_missing_ci_and_leaves_out_what_is_not_recorded():
-    @dataclass(frozen=True)
-    class Result:
+    class Result(NamedTuple):
         params: dict
         ci: tuple | None
-        count: int = field(default=0, metadata={"record": False})
+        count: int = 0
+
+        _unrecorded = ("count",)
 
     assert flat(Result({"alpha": 1.5, "xm": 3}, None, 7)) == {
         "params": "alpha=1.5;xm=3", "ci_lo": None, "ci_hi": None}
+
+
+def test_flat_writes_a_nested_result_in_its_place():
+    verdict = tr.is_outlier([1.0, -2.0, 30.0], 0.5)
+    assert list(flat(verdict).items()) == [
+        ("is_outlier", True), ("kappa", 0.5), ("ratio", 2.0 / 30.0),
+        ("max_magnitude", 30.0), ("second_magnitude", 2.0), ("max_index", 2),
+        ("second_index", 1)]
 
 
 @pytest.mark.parametrize("family,params", [
@@ -54,10 +63,36 @@ def test_result_names_the_family_it_was_given(route, family, params):
                          "integrand_integral,notes"),
 ], ids=["probability", "conditions"])
 def test_record_keys_are_the_result_fields(result, keys):
-    names = [f.name for f in fields(result) if f.metadata.get("record", True)]
+    unrecorded = getattr(result, "_unrecorded", ())
+    names = [name for name in result._fields if name not in unrecorded]
     if "ci" in names:
         names[names.index("ci"):names.index("ci") + 1] = ["ci_lo", "ci_hi"]
     assert names == keys.split(",")
+
+
+RESULTS = [tr.ProbabilityResult, tr.ConditionReport, tr.AlphaEstimate, tr.OutlierVerdict,
+           tr.TopTwo, tr.TrajectorySeries, tr.ScalingResult]
+
+
+@pytest.mark.parametrize("cls", RESULTS, ids=lambda cls: cls.__name__)
+def test_result_fields_cannot_be_assigned(cls):
+    values = tuple(range(len(cls._fields)))
+    result = cls(*values)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(result, name, -1)
+    with pytest.raises(AttributeError):
+        result.extra = -1
+    assert result == values
+
+
+def test_result_replace_and_asdict():
+    result = tr.exact_probability(tr.make_pareto(1.5, 3.0), 10, 0.5)
+    changed = result._replace(value=0.25)
+    assert type(changed) is tr.ProbabilityResult
+    assert (changed.value, result.value) == (0.25, pytest.approx(0.5**1.5))
+    assert list(result._asdict()) == list(result._fields)
+    assert changed._asdict() == dict(result._asdict(), value=0.25)
 
 
 @pytest.fixture(params=["stdin", "file"])
