@@ -71,10 +71,7 @@ def _ndtri(y):
     if upper:
         y = 1.0 - y
     if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
-        return x * _S2PI
+        return _central(y - 0.5)
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
@@ -86,10 +83,20 @@ def _ndtri(y):
     return x if upper else -x
 
 
+def _central(d):
+    """Cephes ndtri's central branch: the normal quantile of y = 1/2 + d, |d| <= 1/2 - exp(-2)."""
+    d2 = d * d
+    x = d + d * (d2 * _polevl(d2, _P0) / _polevl(d2, _Q0))
+    return x * _S2PI
+
+
 def _level_z(u):
-    """The z with P(|Z| <= z) = u, for the float level u in [0, 1]."""
-    y = 0.5 + u / 2.0  # 1 only at u = 1 - 2**-53 and 1, whose tail 1 - u is exact
-    return _tail_z(1.0 - u) if y == 1.0 else _ndtri(y)
+    """The z with P(|Z| <= z) = u, for the float level u in [0, 1].
+
+    From 1/2 up it is the tail form at 1 - u, which is exact there; below,
+    the central branch at u/2, so neither end rounds its level into 1/2 + u/2.
+    """
+    return _tail_z(1.0 - u) if u >= 0.5 else _central(u / 2.0)
 
 
 def _tail_z(v):

@@ -30,15 +30,14 @@ integral of |g| exactly when r is monotone on the grid).  These are
 numeric probes, not proofs.
 
 Every route but ``mc_probability`` computes with ``math`` alone and loads
-no numpy, and adds its terms in the order of numpy's pairwise sum
-(``_pairwise_sum``), so it prints the same digits on every CPU: those that
-numpy gave where its vector loops agree with libm.
+no numpy, and its sums are correctly rounded by ``math.fsum``, so it prints
+the same digits on every CPU.
 """
 
 import math
 import sys
-from array import array
 from functools import cache
+from itertools import pairwise
 from typing import NamedTuple
 
 from .errors import (
@@ -65,8 +64,8 @@ _GAUSS = tuple(((1.0 + x) / 2.0, g / 2.0) for x, g in (
 # int64's maximum n, the bound on trials too: float() and numpy's dimensions take it
 _N_MAX = 2**63 - 1
 
-# check_theorem_conditions' largest grid: its points are made one at a time, and the
-# differences of the ratio at consecutive points held in an array of at most 80 MB
+# check_theorem_conditions' largest grid: its points are made and summed one at a
+# time, so the bound is on time, not memory: about 1 s per 10**6 points on a 2-vCPU Xeon
 _GRID_MAX = 10**7
 
 
@@ -111,35 +110,6 @@ def limit_probability(kappa, alpha):
     return kappa ** check_real(alpha, "alpha", 0, math.inf, "(]")
 
 
-def _pairwise_sum(a, start=0, count=None):
-    """The sum of a[start:start + count] in the order np.sum adds a float64 array.
-
-    numpy splits more than 128 terms into two halves at count // 2 rounded
-    down to a multiple of 8, adds at most 128 in 8 interleaved partial sums,
-    and fewer than 8 one by one.  test_pairwise_sum_is_numpy_sum_bit_for_bit
-    checks that order, which numpy does not promise.
-    """
-    count = len(a) - start if count is None else count
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _pairwise_sum(a, start, half) + _pairwise_sum(a, start + half, count - half)
-    end = start + count
-    if count < 8:
-        total = 0.0
-        for i in range(start, end):
-            total += a[i]
-        return total
-    r = a[start:start + 8]
-    tail = end - count % 8
-    for i in range(start + 8, tail, 8):
-        for j in range(8):
-            r[j] += a[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(tail, end):
-        total += a[i]
-    return total
-
-
 def _tanh_sinh(f):
     """The integral of f over (0, 1) and its error estimate.
 
@@ -166,7 +136,7 @@ def _tanh_sinh(f):
         weight = h * math.pi
         terms = [weight * math.cosh(tj) * wj * cj * fj
                  for tj, wj, cj, fj in zip(t, w, c, f(w, c))]
-        value = _pairwise_sum(terms)
+        value = math.fsum(terms)
         if previous is not None:
             diff, edge = abs(value - previous), (abs(terms[0]) + abs(terms[-1])) / h
             err = max(diff + edge, 4.0 * sys.float_info.epsilon * abs(value))
@@ -387,17 +357,17 @@ def check_theorem_conditions(family, kappa, n, probe_range=None, grid_points=401
 
     # (b) total variation of r on the common support {x >= edge, kappa*x >= edge}
     g_lo = max(lo, edge / kappa if edge > 0.0 else lo)
-    step, last = (hi - g_lo) / (grid_points - 1), None
-    variation = array("d")  # |r(x') - r(x)| over consecutive points x, x' where r is finite
-    for i in range(grid_points):  # the points of np.linspace(g_lo, hi, grid_points)
-        x = i * step + g_lo if i < grid_points - 1 else hi
-        den = kappa * family.pdf(kappa * x)
-        r = family.pdf(x) / den if den else math.inf
-        if math.isfinite(r):
-            if last is not None:
-                variation.append(abs(r - last))
-            last = r
-    integrand_integral = _pairwise_sum(variation)
+    step = (hi - g_lo) / (grid_points - 1)
+
+    def finite_ratios():  # r at the points of np.linspace(g_lo, hi, grid_points) where finite
+        for i in range(grid_points):
+            x = i * step + g_lo if i < grid_points - 1 else hi
+            den = kappa * family.pdf(kappa * x)
+            r = family.pdf(x) / den if den else math.inf
+            if math.isfinite(r):
+                yield r
+
+    integrand_integral = math.fsum(abs(b - a) for a, b in pairwise(finite_ratios()))
 
     ratio = boundary_ratio(family, kappa, hi)
     notes = (  # x in the data's unit

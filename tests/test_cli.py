@@ -871,26 +871,26 @@ GOLDEN = {
     ),
     ("prob-exact", "json"): (
         '{"method": "quadrature", "family": "half_cauchy", "params": "scale=1",'
-        ' "n": 100, "kappa": 0.5, "value": 0.500179837482459, '
-        '"error_estimate": 4.442489376210359e-16, "ci_lo": null, "ci_hi": null,'
+        ' "n": 100, "kappa": 0.5, "value": 0.5001798374824591, '
+        '"error_estimate": 4.44248937621036e-16, "ci_lo": null, "ci_hi": null,'
         ' "trials": null, "seed": null}\n'
     ),
     ("prob-exact", "csv"): (
         'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
         'seed\n'
-        'quadrature,half_cauchy,scale=1,100,0.5,0.50017983748245898,'
-        '4.4424893762103588e-16,,,,\n'
+        'quadrature,half_cauchy,scale=1,100,0.5,0.50017983748245909,'
+        '4.4424893762103598e-16,,,,\n'
     ),
     ("prob-oracle", "json"): (
         '{"method": "joint_oracle", "family": "half_cauchy", "params": '
-        '"scale=1", "n": 4, "kappa": 0.5, "value": 0.5774902981001576, '
+        '"scale=1", "n": 4, "kappa": 0.5, "value": 0.5774902981001575, '
         '"error_estimate": 1.3921863661892075e-11, "ci_lo": null, "ci_hi": '
         'null, "trials": null, "seed": null}\n'
     ),
     ("prob-oracle", "csv"): (
         'method,family,params,n,kappa,value,error_estimate,ci_lo,ci_hi,trials,'
         'seed\n'
-        'joint_oracle,half_cauchy,scale=1,4,0.5,0.57749029810015762,'
+        'joint_oracle,half_cauchy,scale=1,4,0.5,0.57749029810015751,'
         '1.3921863661892075e-11,,,,\n'
     ),
     ("check-conditions", "json"): (

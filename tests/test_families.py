@@ -5,6 +5,7 @@ import math
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -280,14 +281,17 @@ class TestHalfNormal:
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_quantile_is_scipy_ndtri(self, sigma):
-        # the lower quantile; prob-exact's integrand takes the upper form.  At
-        # u = 1 - 2**-53 (the grid's 1 - 1e-16), where (1 + u)/2 rounds to 1 and
-        # ndtri gives inf, it is the upper form at the tail 1 - u = 2**-53
+        # the lower quantile; prob-exact's integrand takes the upper form.  From
+        # u = 1/2 up it is ndtri at the exact half-tail (1 - u)/2, bit for bit; below,
+        # where ndtri could only take the rounded (1 + u)/2, within 3 ulps of mpmath
         got = pointwise(tr.make_half_normal(sigma).quantile, self.U)
-        want = sigma * special.ndtri((1.0 + self.U) / 2.0)
-        edge = self.U == 1.0 - 2.0**-53
-        want[edge] = sigma * -special.ndtri(2.0**-53 / 2.0)
-        assert edge.sum() == 1 and got.tobytes() == want.tobytes()
+        high = self.U >= 0.5
+        want = sigma * -special.ndtri((1.0 - self.U[high]) / 2.0)
+        assert got[high].tobytes() == want.tobytes()
+        with mpmath.workdps(30):
+            z = [float(mpmath.sqrt(2) * mpmath.erfinv(u)) for u in self.U[~high].tolist()]
+        ulps = got[~high].view(np.int64) - (sigma * np.array(z)).view(np.int64)
+        assert np.abs(ulps).max() <= 3
 
     def test_quantile_next_to_1_is_the_upper_form(self):
         fam = tr.make_half_normal()  # 0.9999999999999999 is 1 - 2**-53

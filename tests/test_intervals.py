@@ -1,11 +1,14 @@
 """The normal quantile behind every Wilson interval equals scipy's ndtri.
 
 `_ndtri` ports Cephes ndtri, which scipy.special.ndtri runs, so the two must
-agree bit for bit, infinities included.  scipy is the reference here only.
+agree bit for bit, infinities included.  The two-sided quantile at a level c
+is ndtri's at the exact half-tail (1 - c)/2 from c = 1/2 up, and below it is
+held to mpmath's sqrt(2) * erfinv(c).  scipy and mpmath are references here only.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -61,20 +64,44 @@ def test_ndtri_ends_and_outside():
         assert math.isnan(_ndtri(y)) and math.isnan(special.ndtri(y))
 
 
+def _mpmath_z(levels):
+    """The z with P(|Z| <= z) = c at each level c, by mpmath at 30 digits, as floats."""
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.sqrt(2) * mpmath.erfinv(c)) for c in levels])
+
+
+def _ulps(got, want):
+    """The distance in ulps between arrays of floats of one sign."""
+    return np.abs(np.asarray(got).view(np.int64) - np.asarray(want).view(np.int64))
+
+
 @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
 def test_normal_quantile_equals_scipy(confidence):
     z = normal_quantile(confidence)
     assert type(z) is float
-    assert z == float(special.ndtri(0.5 + confidence / 2.0))
+    assert z == -float(special.ndtri((1.0 - confidence) / 2.0))
 
 
 def test_normal_quantile_equals_scipy_on_a_grid():
-    for confidence in np.linspace(1e-4, 1.0 - 1e-4, 9999).tolist():
-        assert normal_quantile(confidence) == float(special.ndtri(0.5 + confidence / 2.0))
+    # below 1/2 ndtri could only take the rounded 0.5 + c/2, so mpmath is the reference
+    grid = np.linspace(1e-4, 1.0 - 1e-4, 9999)
+    for confidence in grid[grid >= 0.5].tolist():
+        assert normal_quantile(confidence) == -float(special.ndtri((1.0 - confidence) / 2.0))
+    low = grid[grid < 0.5].tolist()
+    assert _ulps([normal_quantile(c) for c in low], _mpmath_z(low)).max() <= 2
+
+
+def test_normal_quantile_keeps_its_digits_at_both_ends():
+    # 0.5 + c/2 drops the bits of c near 0 and of 1 - c near 1: it gave 0.0 at c = 1e-16,
+    # and 8.041399959096541 at 1 - 1e-15
+    levels = np.concatenate([np.logspace(-300, -1, 200), 1.0 - np.logspace(-16, -1, 200)])
+    got = [normal_quantile(c) for c in levels.tolist()]
+    assert _ulps(got, _mpmath_z(levels.tolist())).max() <= 2
+    assert normal_quantile(1e-16) == 1.2533141373155002e-16
+    assert normal_quantile(0.999999999999999) == 8.026957018033892
 
 
 def test_normal_quantile_next_to_1_is_the_tail_form():
-    # 0.5 + c/2 rounds to 1 at c = 1 - 2**-53, where ndtri is inf; the tail
-    # 1 - c = 2**-53 is exact
+    # the tail 1 - c = 2**-53 is exact, where 0.5 + c/2 rounds to 1 and ndtri is inf
     assert normal_quantile(0.9999999999999999) == -float(special.ndtri(2.0**-54)) \
         == 8.292361075813597
