@@ -1,6 +1,7 @@
 """Running-mean trajectories and the scaling-exponent experiment."""
 
 import concurrent.futures
+import math
 import os
 from fractions import Fraction
 
@@ -39,12 +40,38 @@ class TestRunningMean:
         assert a.running_means == b.running_means
 
     def test_checkpoint_means_match_direct_means(self):
-        # cross-check the streaming accumulation against a one-shot draw
+        # cross-check the chunked sums against the correctly rounded sum of a one-shot
+        # draw: Pareto reads one uniform a variate, so ten chunks are one draw of 10**5
         fam = tr.make_pareto(3.0, 1.0)
-        series = tr.running_mean_trajectory(fam, [7, 100, 400], seed=5)
-        x = fam.sample_with(substream(5, 0), 400)
-        for cp, mean in zip(series.ns, series.running_means):
-            assert mean == pytest.approx(x[:cp].mean(), rel=1e-12)
+        ns = [7, 100, 400, 10**4, 10**5]
+        series = tr.running_mean_trajectory(fam, ns, seed=5)
+        x = fam.sample_with(substream(5, 0), ns[-1])
+        for n, mean in zip(series.ns, series.running_means):
+            exact = math.fsum(x[:n]) / n
+            assert abs(mean - exact) <= 2 * math.ulp(exact)
+
+    def test_constant_means_are_summed_pairwise(self):
+        # a sequential sum's error grows like n ulps (1144 ulps of the mean at 10**4),
+        # a pairwise sum's like log n
+        means = tr.running_mean_trajectory(constant_family(0.1), [500, 10**4, 10**5], seed=1)
+        for mean in means.running_means:
+            assert abs(mean - 0.1) <= 2 * math.ulp(0.1)
+
+    @pytest.mark.parametrize("family", [tr.make_symmetric_stable(0.6), tr.make_pareto(1.5)],
+                             ids=lambda f: f.name)
+    def test_mean_inside_a_chunk_does_not_depend_on_other_sizes(self, family):
+        # each size inside a chunk is summed from the chunk's first value, not on from
+        # the size before it, so the mean at 500 keeps its bits whatever stands around it
+        alone = tr.running_mean_trajectory(family, [500], seed=4)
+        among = tr.running_mean_trajectory(family, [100, 500, 20000], seed=4)
+        assert alone.running_means[0] == among.running_means[1]
+
+    def test_sampled_array_is_only_read(self):
+        # a sampler may hand back a read-only view; the sums never write into it
+        fam = TailFamily(name="broadcast",
+                         _sampler=lambda rng, size: np.broadcast_to(0.5, (size,)))
+        series = tr.running_mean_trajectory(fam, [10, 100], seed=1)
+        assert series.running_means == (0.5, 0.5)
 
     def test_chunk_boundaries_do_not_matter(self, monkeypatch):
         fam = tr.make_half_cauchy(1.0)
